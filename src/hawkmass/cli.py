@@ -170,7 +170,7 @@ def _cmd_variation_second(args) -> int:
 def _cmd_sweep_perturb(args) -> int:
     cfg = SweepConfig(a=args.a, base_r=args.r, epsilon=args.eps,
                       n_samples=args.n, master_seed=args.seed,
-                      lmax=args.lmax, fd_step=args.fd_step)
+                      lmax=args.lmax)
     report = perturbation_sweep(cfg, workers=args.workers)
     artifact = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(args, artifact, report.aggregate(),
@@ -204,15 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "symmetric warped products.")
     groups = top.add_subparsers(dest="group", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--a", type=float, required=True,
-                        help="minimum warp radius, in (0, 1)")
+    # the sweep solves its own range (|r| + 6, default tolerance), so it
+    # takes only the flags of ``base``
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--a", type=float, required=True,
+                      help="minimum warp radius, in (0, 1)")
+    base.add_argument("--out", type=str, default=None,
+                      help="artifact path (atomic write + meta sidecar)")
+    common = argparse.ArgumentParser(add_help=False, parents=[base])
     common.add_argument("--rmax", type=float, default=_DEF_RMAX,
                         help="solved half-range (default %(default)s)")
     common.add_argument("--tol", type=float, default=_DEF_TOL,
-                        help="ODE tolerance (default %(default)s)")
-    common.add_argument("--out", type=str, default=None,
-                        help="artifact path (atomic write + meta sidecar)")
+                        help="bound on conserved-mass drift "
+                             "(default %(default)s)")
 
     metric = groups.add_parser("metric", help="warp profile solving")
     metric_ops = metric.add_subparsers(dest="op", required=True)
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = groups.add_parser("sweep", help="seeded perturbation sweeps")
     sweep_ops = sweep.add_subparsers(dest="op", required=True)
-    p = sweep_ops.add_parser("perturb", parents=[common],
+    p = sweep_ops.add_parser("perturb", parents=[base],
                              help="random C2-small graphs, mass deficits")
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=1.0e-2,
@@ -268,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--lmax", type=int, default=16)
-    p.add_argument("--fd-step", type=float, default=_DEF_FD_STEP,
-                   dest="fd_step")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=_cmd_sweep_perturb)

@@ -124,7 +124,7 @@ def _graph_node_fields(w: WarpFactor, base_r: float, phi: HarmonicField,
     patch = w.taylor_patch(base_r)
     use_patch = smax <= patch.trust and patch.tail_bound(smax) < 1.0e-13
     if use_patch:
-        u, up, du, dup = _patch_eval(patch, s_shift)
+        u, up, du, dup = patch.eval_delta(s_shift)
     else:
         if want_delta:
             raise RangeError(
@@ -224,24 +224,6 @@ def _graph_node_fields(w: WarpFactor, base_r: float, phi: HarmonicField,
         "uprime0": up0,
     }
     return fields, deltas
-
-
-def _patch_eval(patch, s):
-    u, up, du = patch.eval_delta(s)
-    # u' difference without its constant term (same trick as eval_delta)
-    flat = np.asarray(s, dtype=float).ravel()
-    cp = np.broadcast_to(
-        patch.coeff_up[1:, None], (patch.coeff_up.size - 1, flat.size)
-    )
-    dup = (_horner_local(cp, flat) * flat).reshape(np.asarray(s).shape)
-    return u, up, du, dup
-
-
-def _horner_local(coeffs, s):
-    res = coeffs[-1].copy()
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        res = res * s + coeffs[k]
-    return res
 
 
 def build_graph(w: WarpFactor, base_r: float, phi: HarmonicField,

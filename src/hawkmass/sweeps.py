@@ -65,7 +65,6 @@ class SweepConfig:
     n_samples: int
     master_seed: int
     lmax: int = 16
-    fd_step: float = 1.0e-3
     tolerances: dict = field(default_factory=lambda: {
         "ratio_slack": 0.1,
         "slice_norm": _SLICE_NORM_TOL,
@@ -78,8 +77,6 @@ class SweepConfig:
             raise ValueError("n_samples must be >= 1")
         if self.lmax < 2:
             raise ValueError("lmax must be >= 2")
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be > 0")
 
     def to_dict(self) -> dict:
         return {
@@ -89,17 +86,16 @@ class SweepConfig:
             "n_samples": self.n_samples,
             "master_seed": self.master_seed,
             "lmax": self.lmax,
-            "fd_step": self.fd_step,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        # payloads written before fd_step was dropped still carry the key
         return cls(
             a=float(d["a"]), base_r=float(d["base_r"]),
             epsilon=float(d["epsilon"]), n_samples=int(d["n_samples"]),
             master_seed=int(d["master_seed"]), lmax=int(d["lmax"]),
-            fd_step=float(d["fd_step"]),
             tolerances={k: float(v) for k, v in d["tolerances"].items()},
         )
 
@@ -290,7 +286,6 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     deg_max = max(1, cfg.lmax // 2)
     grid_lmax = max(2 * deg_max, 16)
     get_grid(grid_lmax)
-    get_grid(max(2 * deg_max, 16))
     c_est = quadratic_form_report(w, cfg.base_r, cfg.lmax).c_est
     indices = range(cfg.n_samples)
     if workers == 1:
@@ -333,7 +328,6 @@ class FoliationScan:
     first_eigenvalue_minimal: float
     margins: np.ndarray
     margin_flip_radius: float | None
-    lapse: float = 1.0
 
     def to_json(self) -> str:
         return json.dumps(
@@ -350,7 +344,6 @@ class FoliationScan:
                 "first_eigenvalue_minimal": self.first_eigenvalue_minimal,
                 "margins": [float(v) for v in self.margins],
                 "margin_flip_radius": self.margin_flip_radius,
-                "lapse": self.lapse,
             },
             sort_keys=True,
         )
@@ -393,7 +386,9 @@ def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:
                 sign_ok = False
             if period / 2.0 + edge < s < period - edge and not hi > 0.0:
                 sign_ok = False
-    h_step = 1.0e-2
+    # the profile varies on the length scale a near the neck, so the
+    # stencil step follows a; a fixed step loses accuracy as a shrinks
+    h_step = 1.0e-2 * w.a
     dh = (-_slice_mean_curvature(w, 2 * h_step)
           + 8.0 * _slice_mean_curvature(w, h_step)
           - 8.0 * _slice_mean_curvature(w, -h_step)

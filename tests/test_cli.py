@@ -154,6 +154,15 @@ def test_usage_error_unknown_flag():
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [["--rmax", "0.5"], ["--tol", "1e-2"]])
+def test_sweep_rejects_solver_flags(flag, capsys):
+    """The sweep solves its own range, so solver flags are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "perturb", "--a", "0.5", "--n", "1", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_code_mapping_invariant(monkeypatch, capsys):
     """An invariant failure surfaces as exit 3 with the record attached."""
     from hawkmass.errors import InvariantViolation

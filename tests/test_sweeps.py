@@ -19,6 +19,7 @@ from hawkmass import (
     foliation_scan,
     perturbation_sweep,
     sobolev_norms,
+    solve_warp_factor,
 )
 from hawkmass.sweeps import assert_sweep_passes
 
@@ -37,14 +38,19 @@ def test_config_validation():
         small_config(n_samples=0).validate()
     with pytest.raises(ValueError):
         small_config(lmax=1).validate()
-    with pytest.raises(ValueError):
-        small_config(fd_step=-1e-3).validate()
 
 
 def test_config_round_trip():
     cfg = small_config()
     back = SweepConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+def test_config_from_dict_accepts_legacy_fd_step():
+    """Payloads written while the config still had fd_step load as-is."""
+    cfg = small_config()
+    legacy = dict(cfg.to_dict(), fd_step=1e-3)
+    assert SweepConfig.from_dict(legacy) == cfg
 
 
 def test_draw_is_deterministic():
@@ -164,7 +170,15 @@ def test_foliation_scan_identities(w05):
     assert scan.margins[0] == pytest.approx(8.0, rel=1e-12)
     assert scan.margin_flip_radius is not None
     assert 0.0 < scan.margin_flip_radius < w05.period / 2.0
-    assert scan.lapse == 1.0
+
+
+@pytest.mark.parametrize("a", [0.2, 0.3, 0.5, 0.9])
+def test_foliation_slope_matches_first_eigenvalue(a):
+    """dH/dr at the minimal slice equals -lambda_0 across the neck radii,
+    narrow necks included."""
+    w = solve_warp_factor(a, 13.0)
+    scan = foliation_scan(w, np.linspace(0.0, w.period, 8, endpoint=False))
+    assert abs(scan.dh_dr_at_zero + scan.first_eigenvalue_minimal) < 1e-6
 
 
 def test_foliation_scan_mean_curvature_odd(w05):

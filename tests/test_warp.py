@@ -1,9 +1,13 @@
 """Warp-profile solver: first integral, symmetry, period, slice data."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkmass import (
@@ -15,6 +19,7 @@ from hawkmass import (
     solve_warp_factor,
     static_chart_roots,
 )
+from hawkmass.warp import A_MAX, A_MIN, _taylor_coeff_block
 
 
 def expected_mass(a):
@@ -201,3 +206,65 @@ def test_small_minimum_radius_solves():
     u, up = w.evaluate(2.0)
     m = 0.5 * u * (1.0 - up * up - u * u / 3.0)
     assert abs(m - w.mass) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(A_MIN, A_MAX), r_max=st.floats(0.1, 3.0))
+@example(a=0.5148828075211509, r_max=13.0)
+def test_taylor_stepper_conserves_mass(a, r_max):
+    """The stepped profile keeps the first integral at roundoff, on the
+    samples and between them; the example is a neck radius whose order-28
+    tail coefficient is accidentally tiny at r ~ 3.75."""
+    w = solve_warp_factor(a, r_max)
+    mid = 0.5 * (w.samples[1:, 0] + w.samples[:-1, 0])
+    for r in (w.samples[:, 0], mid):
+        u, up = w.evaluate(r)
+        drift = np.max(np.abs(0.5 * u * (1.0 - up * up - u * u / 3.0) - w.mass))
+        assert drift <= 1e-12
+
+
+_columns = st.lists(
+    st.tuples(st.floats(A_MIN, 2.0), st.floats(-1.5, 1.5)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cols=_columns, order=st.sampled_from([2, 3, 16, 28]))
+def test_taylor_coeff_block_is_columnwise(cols, order):
+    """A block of columns rounds exactly like its columns one at a time."""
+    u0, up0 = (np.array(v) for v in zip(*cols))
+    block = _taylor_coeff_block(u0, up0, order)
+    assert block.shape == (order + 1, len(cols))
+    for i, (u, up) in enumerate(cols):
+        assert np.array_equal(block[:, i], _taylor_coeff_block(u, up, order)[:, 0])
+
+
+def _coeff_loop_reference(u0, up0, order):
+    """The recurrence summed term by term, one column at a time."""
+    U = np.zeros(order + 1)
+    U[0], U[1] = u0, up0
+    for k in range(order - 1):
+        acc = 0.0
+        for j in range(k):
+            acc += 2.0 * U[k - j] * (j + 1) * (j + 2) * U[j + 2]
+        for j in range(k + 1):
+            acc += (j + 1) * U[j + 1] * (k - j + 1) * U[k - j + 1]
+            acc += U[j] * U[k - j]
+        U[k + 2] = ((1.0 if k == 0 else 0.0) - acc) / (2.0 * U[0] * (k + 1) * (k + 2))
+    return U
+
+
+@settings(max_examples=25, deadline=None)
+@given(u0=st.floats(A_MIN, 2.0), up0=st.floats(-1.5, 1.5))
+def test_taylor_coeff_block_matches_loop_reference(u0, up0):
+    """The vectorized Cauchy products only reorder the sums: relative
+    roundoff accumulates over 28 orders, far inside 1e-10."""
+    block = _taylor_coeff_block(u0, up0, 28)[:, 0]
+    assert_allclose(block, _coeff_loop_reference(u0, up0, 28), rtol=1e-10, atol=0)
+
+
+def test_import_skips_scipy_integrate():
+    code = "import sys, hawkmass; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
