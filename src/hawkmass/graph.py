@@ -23,9 +23,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve as linalg_solve
 
-from .errors import RangeError
+from .errors import RangeError, SolveError
 from .sphere import HarmonicField, SphereGrid, get_grid
 from .warp import WarpFactor
 
@@ -41,6 +40,10 @@ __all__ = [
 ]
 
 _MIN_GEOMETRY_LMAX = 16
+# conjugate gradients on the induced Gram matrix: stop at this relative
+# residual, give up after this many iterations
+_CG_RTOL = 1.0e-14
+_CG_MAX_ITER = 200
 
 
 def _geometry_lmax(phi: HarmonicField, grid_lmax: int | None) -> int:
@@ -329,23 +332,59 @@ def induced_laplacian(surface: GraphSurface, values: np.ndarray) -> np.ndarray:
 
     Weak assembly: the input is expanded in spherical harmonics, tested
     against all harmonics up to the geometry band limit with the induced
-    metric and area element, and the result resampled on the nodes.
+    metric and area element, and the result resampled on the nodes.  The
+    weak form is applied through the harmonic transforms and its Gram
+    matrix is inverted by conjugate gradients, so no dense matrix is
+    formed; ``SphereGrid.basis_matrix`` is the dense reference in the
+    tests.  Raises ``SolveError`` if the solve does not converge.
     """
     grid = surface.grid
-    coeffs = grid.analyze(values)
-    jet = grid.synthesize_jet(coeffs)
+    jet = grid.synthesize_jet(grid.analyze(values))
     vt, vl = jet["ft"], jet["fl"]
     h_tt, h_tl, h_ll = surface._hinv
     dens = grid.quad_weights * surface.area_element
-    flux_t = dens * (h_tt * vt + h_tl * vl)
-    flux_l = dens * (h_tl * vt + h_ll * vl)
-    gt = grid.basis_matrix("dtheta")
-    gl = grid.basis_matrix("dlon")
-    rhs = -(gt.T @ flux_t.ravel() + gl.T @ flux_l.ravel())
-    ymat = grid.basis_matrix("value")
-    gram = ymat.T @ (dens.ravel()[:, None] * ymat)
-    sol = linalg_solve(gram, rhs, assume_a="pos")
-    return (ymat @ sol).reshape(values.shape)
+    rhs = -grid.gradient_transpose(dens * (h_tt * vt + h_tl * vl),
+                                   dens * (h_tl * vt + h_ll * vl))
+    sol = _solve_gram(surface, rhs)
+    return grid.synthesize(sol).reshape(values.shape)
+
+
+def _solve_gram(surface: GraphSurface, rhs: np.ndarray) -> np.ndarray:
+    """Solve G c = rhs for the Gram matrix G of the harmonics against the
+    induced area element, by preconditioned conjugate gradients.
+
+    G c is analyze(area_element * synthesize(c)); the quadrature weights
+    live in ``analyze``.  On a round slice of radius u the Gauss-Legendre
+    grid makes G exactly u^2 times the identity, so the preconditioner is
+    the scalar 4 pi / area.
+    """
+    grid = surface.grid
+    precond = 4.0 * np.pi / surface.area
+    sol = np.zeros_like(rhs)
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return sol
+    res = rhs.copy()
+    z = precond * res
+    direction = z.copy()
+    rz = float(res @ z)
+    rel = 1.0
+    for _ in range(_CG_MAX_ITER):
+        g_dir = grid.analyze(surface.area_element * grid.synthesize(direction))
+        step = rz / float(direction @ g_dir)
+        sol += step * direction
+        res -= step * g_dir
+        rel = float(np.linalg.norm(res)) / rhs_norm
+        if rel <= _CG_RTOL:
+            return sol
+        z = precond * res
+        rz_next = float(res @ z)
+        direction = z + (rz_next / rz) * direction
+        rz = rz_next
+    raise SolveError(
+        f"induced Gram solve did not converge: relative residual {rel:.2e} "
+        f"after {_CG_MAX_ITER} iterations (target {_CG_RTOL:.0e})"
+    )
 
 
 def _el_residual_field(surface: GraphSurface) -> np.ndarray:

@@ -188,13 +188,34 @@ class SphereGrid:
         fs = (2.0 * np.pi / self.n_lon) * (values @ self._sin.T)
         wfc = self.glweights[:, None] * fc
         wfs = self.glweights[:, None] * fs
+        return self._project(self._p, wfc, wfs)
+
+    def gradient_transpose(self, flux_t: np.ndarray,
+                           flux_l: np.ndarray) -> np.ndarray:
+        """Exact transpose of the ``ft`` and ``fl`` outputs of
+        ``synthesize_jet``: the coefficient vector ``g`` with
+        ``g @ c == sum(flux_t * ft + flux_l * fl)`` for every ``c``, where
+        ``ft, fl`` are the jet of ``c``.  No quadrature weights are applied;
+        fold them into the fluxes."""
+        m = np.arange(self.lmax + 1)
+        dt = self._project(self._dp, flux_t @ self._cos.T, flux_t @ self._sin.T)
+        # fl of c is sum_m m (s0 cos - c0 sin) over the value profiles
+        dl = self._project(self._p, -m * (flux_l @ self._sin.T),
+                           m * (flux_l @ self._cos.T))
+        return dt + dl
+
+    def _project(self, table: np.ndarray, wc: np.ndarray,
+                 ws: np.ndarray) -> np.ndarray:
+        """Flat coefficients from per-order colatitude profiles: column
+        ``m`` of ``wc`` (cosine branch) and ``ws`` (sine branch), each of
+        shape ``(n_lat, lmax + 1)``, tested against ``table[l, m]``."""
         coeffs = np.zeros(self.n_modes)
         for m in range(0, self.lmax + 1):
             ls = np.arange(m, self.lmax + 1)
-            proj = self._p[m:, m, :] @ wfc[:, m]
+            proj = table[m:, m, :] @ wc[:, m]
             coeffs[ls * ls + ls + m] = self._azf[m] * proj
             if m > 0:
-                coeffs[ls * ls + ls - m] = self._azf[m] * (self._p[m:, m, :] @ wfs[:, m])
+                coeffs[ls * ls + ls - m] = self._azf[m] * (table[m:, m, :] @ ws[:, m])
         return coeffs
 
     def integrate(self, values: np.ndarray) -> float:
@@ -207,7 +228,8 @@ class SphereGrid:
         """Dense (n_nodes, n_modes) synthesis matrix.
 
         kind is one of ``value``, ``dtheta``, ``dlon``.  Guarded against
-        accidental huge allocations; used by the weak Laplacian.
+        accidental huge allocations.  The package computes with the
+        transforms; this is the dense reference they are tested against.
         """
         if kind not in ("value", "dtheta", "dlon"):
             raise ValueError(f"unknown basis matrix kind {kind!r}")

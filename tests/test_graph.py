@@ -1,12 +1,18 @@
 """Normal-graph geometry: induced metric, curvatures, mass, residuals."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkmass import (
     HarmonicField,
     RangeError,
+    SolveError,
+    SphereGrid,
     analyze,
     build_graph,
     coeff_index,
@@ -17,6 +23,8 @@ from hawkmass import (
     slice_geometry,
     synthesize,
 )
+from hawkmass import graph
+from hawkmass.graph import _el_potential
 
 
 def bumpy_field(lmax, seed, amp=1.0):
@@ -146,6 +154,84 @@ def test_induced_laplacian_slice_eigenfunctions(w05):
         f = synthesize(HarmonicField.single(l, m, 1.0, grid=s.grid), s.grid)
         lap = induced_laplacian(s, f)
         assert_allclose(lap, -l * (l + 1) / (u * u) * f, rtol=0, atol=1e-9)
+
+
+def test_induced_laplacian_slice_eigenfunctions_large_band_limit(w05):
+    """The same identity past the dense basis guard.  The analysis of the
+    input grid values leaves up to 2e-14 in high-degree coefficients, and
+    the Laplacian multiplies degree l by l(l+1)/u^2 (up to 1.7e4 here):
+    (1, 0) comes out at 3e-9, the dense solve gives 5e-9 at grid 72, so
+    the tolerance is 1e-8 instead of the 1e-9 of grid 16."""
+    s = build_graph(w05, 0.6, HarmonicField.zeros(4), grid_lmax=80)
+    u, _ = w05.evaluate(0.6)
+    for l, m in [(1, 0), (2, -1), (3, 3), (40, -13)]:
+        f = synthesize(HarmonicField.single(l, m, 1.0, grid=s.grid), s.grid)
+        lap = induced_laplacian(s, f)
+        assert_allclose(lap, -l * (l + 1) / (u * u) * f, rtol=0, atol=1e-8)
+
+
+def _dense_laplacian(surface, values, dense_grid):
+    """The weak Laplacian assembled from dense basis matrices and solved
+    directly; ``dense_grid`` is a private grid of the same band limit."""
+    jet = surface.grid.synthesize_jet(surface.grid.analyze(values))
+    h_tt, h_tl, h_ll = surface._hinv
+    dens = (surface.grid.quad_weights * surface.area_element).ravel()
+    vt, vl = jet["ft"].ravel(), jet["fl"].ravel()
+    ymat = dense_grid.basis_matrix("value")
+    rhs = -(dense_grid.basis_matrix("dtheta").T
+            @ (dens * (h_tt.ravel() * vt + h_tl.ravel() * vl))
+            + dense_grid.basis_matrix("dlon").T
+            @ (dens * (h_tl.ravel() * vt + h_ll.ravel() * vl)))
+    gram = ymat.T @ (dens[:, None] * ymat)
+    return (ymat @ np.linalg.solve(gram, rhs)).reshape(values.shape)
+
+
+@pytest.fixture(scope="module")
+def dense_grids():
+    """Private grids by band limit: the dense bases cached on them are
+    freed with this module instead of staying on the shared grids."""
+    return functools.cache(SphereGrid)
+
+
+@pytest.mark.parametrize("grid_lmax", [16, 24, 32, 40])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amp=st.floats(1e-3, 0.2),
+       base_r=st.floats(0.0, 1.5))
+def test_induced_laplacian_matches_dense_reference(w05, dense_grids,
+                                                   grid_lmax, seed, amp,
+                                                   base_r):
+    """Conjugate gradients on the transforms reproduce the dense Gram
+    solve on mean-free graphs of band limit grid_lmax / 2."""
+    lmax = grid_lmax // 2
+    phi = bumpy_field(lmax, seed)
+    peak = float(np.max(np.abs(phi.values())))
+    s = build_graph(w05, base_r, phi.scaled(amp / peak), grid_lmax=grid_lmax)
+    dense = _dense_laplacian(s, s.mean_curvature, dense_grids(grid_lmax))
+    diff = induced_laplacian(s, s.mean_curvature) - dense
+    assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_el_residual_matches_dense_reference(w05, w08, dense_grids):
+    """Criterion 08's slices and its control give the same residual
+    through the dense solve."""
+    slices = [(w05, r, 0.0) for r in (0.0, 0.3, 0.7, 1.5, 3.0)] + [(w08, 0.5, 0.0)]
+    for w, r, scale in slices + [(w05, 0.3, 0.05)]:
+        s = build_graph(w, r, HarmonicField.single(2, 0, 1.0), scale=scale)
+        h = s.mean_curvature
+        dense = np.max(np.abs(_dense_laplacian(s, h, dense_grids(s.grid.lmax))
+                              + _el_potential(s) * h))
+        if scale == 0.0:
+            assert s.el_residual_max() < 1e-10 and dense < 1e-10
+        else:
+            assert s.el_residual_max() == pytest.approx(dense, rel=1e-12)
+
+
+def test_induced_laplacian_raises_when_not_converged(w05, monkeypatch):
+    """An unconverged solve is an error, never a partial answer."""
+    s = build_graph(w05, 0.6, bumpy_field(3, seed=16, amp=0.03))
+    monkeypatch.setattr(graph, "_CG_MAX_ITER", 1)
+    with pytest.raises(SolveError, match="after 1 iterations"):
+        induced_laplacian(s, s.mean_curvature)
 
 
 def test_induced_laplacian_constants(w05):

@@ -240,27 +240,43 @@ def test_taylor_coeff_block_is_columnwise(cols, order):
 
 
 def _coeff_loop_reference(u0, up0, order):
-    """The recurrence summed term by term, one column at a time."""
+    """The recurrence summed term by term, one column at a time.
+
+    Returns the coefficients and, per order, the sum of the moduli of the
+    summands behind it (divided like the coefficient): the scale of its
+    rounding error even where the sum cancels.
+    """
     U = np.zeros(order + 1)
+    scale = np.zeros(order + 1)
     U[0], U[1] = u0, up0
+    scale[0], scale[1] = abs(u0), abs(up0)
     for k in range(order - 1):
-        acc = 0.0
-        for j in range(k):
-            acc += 2.0 * U[k - j] * (j + 1) * (j + 2) * U[j + 2]
+        summands = [2.0 * U[k - j] * (j + 1) * (j + 2) * U[j + 2] for j in range(k)]
         for j in range(k + 1):
-            acc += (j + 1) * U[j + 1] * (k - j + 1) * U[k - j + 1]
-            acc += U[j] * U[k - j]
-        U[k + 2] = ((1.0 if k == 0 else 0.0) - acc) / (2.0 * U[0] * (k + 1) * (k + 2))
-    return U
+            summands += [(j + 1) * U[j + 1] * (k - j + 1) * U[k - j + 1],
+                         U[j] * U[k - j]]
+        acc = 0.0
+        for t in summands:
+            acc += t
+        const = 1.0 if k == 0 else 0.0
+        denom = 2.0 * U[0] * (k + 1) * (k + 2)
+        U[k + 2] = (const - acc) / denom
+        scale[k + 2] = (const + sum(abs(t) for t in summands)) / abs(denom)
+    return U, scale
 
 
 @settings(max_examples=25, deadline=None)
 @given(u0=st.floats(A_MIN, 2.0), up0=st.floats(-1.5, 1.5))
+@example(u0=0.5644064358830799, up0=1.0)
 def test_taylor_coeff_block_matches_loop_reference(u0, up0):
-    """The vectorized Cauchy products only reorder the sums: relative
-    roundoff accumulates over 28 orders, far inside 1e-10."""
+    """The vectorized Cauchy products only reorder the sums: roundoff
+    accumulates over 28 orders, far inside 1e-10 of each order's summand
+    scale.  At up0 = +-1 the order-3 coefficient cancels to zero, where a
+    relative tolerance on the coefficient itself would compare roundoff
+    (the example)."""
     block = _taylor_coeff_block(u0, up0, 28)[:, 0]
-    assert_allclose(block, _coeff_loop_reference(u0, up0, 28), rtol=1e-10, atol=0)
+    ref, scale = _coeff_loop_reference(u0, up0, 28)
+    assert np.all(np.abs(block - ref) <= 1e-10 * scale)
 
 
 def test_import_skips_scipy_integrate():
