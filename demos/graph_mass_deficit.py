@@ -7,8 +7,8 @@ so the printed values stay clean far below roundoff of the raw masses.
 
 import numpy as np
 
-from hawkmass import (HarmonicField, build_graph, el_residual,
-                      hawking_mass_deficit, solve_warp_factor, surface_report)
+from hawkmass import (HarmonicField, build_graph, hawking_mass_deficit,
+                      solve_warp_factor, surface_report)
 
 w = solve_warp_factor(0.5, r_max=13.0)
 base_r = 0.3
@@ -30,8 +30,8 @@ print()
 # Round slices solve the shape equation; a generic graph does not.
 slice_surface = build_graph(w, base_r, HarmonicField(np.zeros(36)))
 bumpy_surface = build_graph(w, base_r, phi, scale=0.05)
-print(f"shape equation residual, slice : {np.max(np.abs(el_residual(slice_surface))):.2e}")
-print(f"shape equation residual, bumpy : {np.max(np.abs(el_residual(bumpy_surface))):.2e}")
+print(f"shape equation residual, slice : {slice_surface.el_residual_max():.2e}")
+print(f"shape equation residual, bumpy : {bumpy_surface.el_residual_max():.2e}")
 
 report = surface_report(bumpy_surface)
 print()

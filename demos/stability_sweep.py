@@ -1,15 +1,15 @@
 """Run a seeded random sweep over mean-free graph perturbations and check
 every sample against the coercivity prediction.
 
-Two runs with the same seed produce byte-identical payloads regardless of
-the worker count, which is what makes sweep artifacts diffable.
+Two runs with the same seed produce byte-identical payloads, which is what
+makes sweep artifacts diffable.
 """
 
 from hawkmass import SweepConfig, perturbation_sweep
 
 cfg = SweepConfig(a=0.5, base_r=0.0, epsilon=1e-2, n_samples=40,
                   master_seed=2024)
-report = perturbation_sweep(cfg, workers=4)
+report = perturbation_sweep(cfg)
 
 agg = report.aggregate()
 print(f"samples            : {agg['n_samples']}")
@@ -19,9 +19,9 @@ print(f"min bound ratio    : {agg['min_ratio']:.6f}")
 print(f"max bound ratio    : {agg['max_ratio']:.6f}")
 print(f"sweep verdict      : {'pass' if report.ok else 'FAIL'}")
 
-replay = perturbation_sweep(cfg, workers=1)
+replay = perturbation_sweep(cfg)
 same = replay.records_payload() == report.records_payload()
-print(f"workers=1 replay byte-identical: {same}")
+print(f"replay byte-identical: {same}")
 
 print()
 print("first three records:")

@@ -50,15 +50,13 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit(args, artifact: str, summary: dict, meta_extra: dict | None = None) -> None:
+def _emit(args, artifact: str, summary: dict) -> None:
     """Write artifact + sidecar when --out is given, else print it;
     always end with nothing but machine-parseable stdout."""
     if getattr(args, "out", None):
         _atomic_write(args.out, artifact)
-        meta = build_meta()
-        if meta_extra:
-            meta.update(meta_extra)
-        _atomic_write(args.out + ".meta.json", json.dumps(meta, sort_keys=True))
+        _atomic_write(args.out + ".meta.json",
+                      json.dumps(build_meta(), sort_keys=True))
         print(json.dumps(summary, sort_keys=True))
     else:
         print(artifact)
@@ -171,10 +169,9 @@ def _cmd_sweep_perturb(args) -> int:
     cfg = SweepConfig(a=args.a, base_r=args.r, epsilon=args.eps,
                       n_samples=args.n, master_seed=args.seed,
                       lmax=args.lmax)
-    report = perturbation_sweep(cfg, workers=args.workers)
+    report = perturbation_sweep(cfg)
     artifact = report.to_csv() if args.format == "csv" else report.to_json()
-    _emit(args, artifact, report.aggregate(),
-          meta_extra={"workers": args.workers})
+    _emit(args, artifact, report.aggregate())
     assert_sweep_passes(report)
     return 0
 
@@ -272,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--lmax", type=int, default=16)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=_cmd_sweep_perturb)
 

@@ -26,15 +26,12 @@ import numpy as np
 
 from .errors import RangeError, SolveError
 from .sphere import HarmonicField, SphereGrid, get_grid
-from .warp import WarpFactor
+from .warp import WarpFactor, _mass_from_integrals
 
 __all__ = [
     "GraphSurface",
     "build_graph",
-    "hawking_mass",
     "hawking_mass_deficit",
-    "el_residual",
-    "q_integral",
     "induced_laplacian",
     "surface_report",
 ]
@@ -86,9 +83,12 @@ class GraphSurface:
     _residual_cache: np.ndarray = field(repr=False, default=None)
 
     def hawking_mass(self) -> float:
+        """Hawking mass with Lambda = 2:
+        sqrt(|S|/16pi) (1 - int H^2 / 16pi - |S| / 12pi)."""
         return _mass_from_integrals(self.area, self.willmore)
 
     def el_residual(self) -> np.ndarray:
+        """Pointwise residual of the criticality equation on the nodes."""
         if self._residual_cache is None:
             self._residual_cache = _el_residual_field(self)
         return self._residual_cache
@@ -97,15 +97,10 @@ class GraphSurface:
         return float(np.max(np.abs(self.el_residual())))
 
     def q_integral(self) -> float:
+        """Integral of the criticality potential; nonnegative, zero only
+        for umbilic surfaces."""
         q = _el_potential(self)
         return float(np.sum(self.grid.quad_weights * self.area_element * q))
-
-
-def _mass_from_integrals(area: float, willmore: float) -> float:
-    return float(
-        np.sqrt(area / (16.0 * np.pi))
-        * (1.0 - willmore / (16.0 * np.pi) - area / (12.0 * np.pi))
-    )
 
 
 def _graph_node_fields(w: WarpFactor, base_r: float, phi: HarmonicField,
@@ -125,8 +120,7 @@ def _graph_node_fields(w: WarpFactor, base_r: float, phi: HarmonicField,
         )
 
     patch = w.taylor_patch(base_r)
-    use_patch = smax <= patch.trust and patch.tail_bound(smax) < 1.0e-13
-    if use_patch:
+    if patch.covers(smax):
         u, up, du, dup = patch.eval_delta(s_shift)
     else:
         if want_delta:
@@ -279,12 +273,6 @@ def build_graph(w: WarpFactor, base_r: float, phi: HarmonicField,
     )
 
 
-def hawking_mass(surface: GraphSurface) -> float:
-    """Hawking mass with Lambda = 2:
-    sqrt(|S|/16pi) (1 - int H^2 / 16pi - |S| / 12pi)."""
-    return surface.hawking_mass()
-
-
 def hawking_mass_deficit(w: WarpFactor, base_r: float, phi: HarmonicField,
                          scale: float = 1.0,
                          grid_lmax: int | None = None) -> float:
@@ -390,17 +378,6 @@ def _solve_gram(surface: GraphSurface, rhs: np.ndarray) -> np.ndarray:
 def _el_residual_field(surface: GraphSurface) -> np.ndarray:
     lap_h = induced_laplacian(surface, surface.mean_curvature)
     return lap_h + _el_potential(surface) * surface.mean_curvature
-
-
-def el_residual(surface: GraphSurface) -> np.ndarray:
-    """Pointwise residual of the criticality equation on the nodes."""
-    return surface.el_residual()
-
-
-def q_integral(surface: GraphSurface) -> float:
-    """Integral of the criticality potential; nonnegative, zero only for
-    umbilic surfaces."""
-    return surface.q_integral()
 
 
 def surface_report(surface: GraphSurface) -> dict:

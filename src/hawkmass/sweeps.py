@@ -2,10 +2,10 @@
 
 The sweep demonstrates strict local maximality of the Hawking mass at the
 slices: every small non-constant normal graph loses mass, at the rate
-predicted by the second-variation forms.  Records are fully deterministic
-functions of the config (per-sample generators seeded by (master_seed,
-index)), so reruns and worker counts cannot change a byte of the payload;
-wall-clock metadata lives in a separate sidecar dict.
+predicted by the second-variation forms.  Samples run one after another.
+Records are fully deterministic functions of the config (per-sample
+generators seeded by (master_seed, index)), so reruns cannot change a
+byte of the payload; wall-clock metadata lives in a separate sidecar dict.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ import io
 import json
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, RangeError
 from .graph import GraphSurface, hawking_mass_deficit
-from .sphere import HarmonicField, get_grid, sobolev_norms
+from .sphere import HarmonicField, sobolev_norms
 from .warp import WarpFactor, slice_geometry, slice_mass_derivative
 from .variation import (
     jacobi_spectrum,
@@ -56,7 +55,7 @@ class SweepConfig:
     ``epsilon`` is the C^2 radius of the sampled perturbations; every
     sample's C^2 estimate is a uniform draw in (0, epsilon].  Per-sample
     generators are seeded with (master_seed, index), which fixes the
-    records independent of execution order or worker count.
+    records independent of execution order.
     """
 
     a: float
@@ -104,7 +103,11 @@ class SweepConfig:
 class SweepRecord:
     """One sample: norms of the drawn perturbation, the measured mass
     deficit, the half-second-variation prediction, and the coercivity
-    ratio deficit / (-(C_est/4) * w22_norm^2)."""
+    ratio deficit / (-(C_est/4) * w22_norm^2).
+
+    ``seed`` is the sweep's master seed, the same in every record;
+    sample ``index`` draws from ``SeedSequence([seed, index])``.
+    """
 
     index: int
     seed: int
@@ -198,7 +201,7 @@ class SweepReport:
         return None
 
 
-def build_meta(workers: int | None = None) -> dict:
+def build_meta() -> dict:
     """Environment sidecar: never part of the comparable payload."""
     import datetime
 
@@ -213,8 +216,6 @@ def build_meta(workers: int | None = None) -> dict:
         meta["scipy"] = scipy.__version__
     except Exception:
         pass
-    if workers is not None:
-        meta["workers"] = workers
     return meta
 
 
@@ -252,15 +253,13 @@ def _run_sample(cfg: SweepConfig, w: WarpFactor, c_est: float,
     norms = sobolev_norms(phi, u_base)
     slice_tol = cfg.tolerances.get("slice_norm", _SLICE_NORM_TOL)
     slack = cfg.tolerances.get("ratio_slack", 0.1)
+    deficit = hawking_mass_deficit(w, cfg.base_r, phi, 1.0,
+                                   grid_lmax=grid_lmax)
     if norms.c2_bound < slice_tol:
-        deficit = hawking_mass_deficit(w, cfg.base_r, phi, 1.0,
-                                       grid_lmax=grid_lmax)
         return SweepRecord(index=index, seed=cfg.master_seed,
                            c2_norm=norms.c2_bound, w22_norm=norms.w22,
                            deficit=deficit, prediction=0.0, ratio=0.0,
                            ok=abs(deficit) < 1.0e-12, kind="slice")
-    deficit = hawking_mass_deficit(w, cfg.base_r, phi, 1.0,
-                                   grid_lmax=grid_lmax)
     prediction = 0.5 * slice_second_variation(w, cfg.base_r, phi)
     bound = -(c_est / 4.0) * norms.w22 ** 2
     ratio = deficit / bound
@@ -272,28 +271,27 @@ def _run_sample(cfg: SweepConfig, w: WarpFactor, c_est: float,
 
 
 def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
-    """Run the sweep and return records in index order.
+    """Run the sweep serially and return records in index order.
 
-    The records are a pure function of cfg; ``workers`` only sets the
-    thread fan-out.  Shared caches (warp solution, quadrature grid,
-    coercivity constant) are warmed before the pool starts so worker
-    threads only read them.
+    The records are a pure function of cfg.  ``workers`` must be >= 1 and
+    changes nothing.  Every sample's max|phi| is at most its C^2
+    estimate, hence at most epsilon, so an epsilon beyond the reach of
+    the base-slice expansion raises ``RangeError`` before any sample runs.
     """
     cfg.validate()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     w = solve_for_config(cfg)
+    patch = w.taylor_patch(cfg.base_r)
+    if not patch.covers(cfg.epsilon):
+        raise RangeError(
+            f"epsilon {cfg.epsilon:g} exceeds the reach {patch.reach():.3g} "
+            f"of the base-slice expansion at base_r {cfg.base_r:g}")
     deg_max = max(1, cfg.lmax // 2)
     grid_lmax = max(2 * deg_max, 16)
-    get_grid(grid_lmax)
     c_est = quadratic_form_report(w, cfg.base_r, cfg.lmax).c_est
-    indices = range(cfg.n_samples)
-    if workers == 1:
-        records = [_run_sample(cfg, w, c_est, grid_lmax, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda i: _run_sample(cfg, w, c_est, grid_lmax, i), indices))
+    records = [_run_sample(cfg, w, c_est, grid_lmax, i)
+               for i in range(cfg.n_samples)]
     return SweepReport(config=cfg, records=records, c_est=c_est)
 
 
@@ -349,11 +347,6 @@ class FoliationScan:
         )
 
 
-def _slice_mean_curvature(w: WarpFactor, r: float) -> float:
-    u, up = w.evaluate(r)
-    return -2.0 * up / u
-
-
 def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:
     """Scan the slice foliation: mass constancy, mean-curvature sign
     structure over one period, the curvature slope at the minimal slice,
@@ -389,10 +382,9 @@ def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:
     # the profile varies on the length scale a near the neck, so the
     # stencil step follows a; a fixed step loses accuracy as a shrinks
     h_step = 1.0e-2 * w.a
-    dh = (-_slice_mean_curvature(w, 2 * h_step)
-          + 8.0 * _slice_mean_curvature(w, h_step)
-          - 8.0 * _slice_mean_curvature(w, -h_step)
-          + _slice_mean_curvature(w, -2 * h_step)) / (12.0 * h_step)
+    h2, h1, hm1, hm2 = (slice_geometry(w, k * h_step).mean_curvature
+                        for k in (2, 1, -1, -2))
+    dh = (-h2 + 8.0 * h1 - 8.0 * hm1 + hm2) / (12.0 * h_step)
     lam0 = float(jacobi_spectrum(w, 0.0, 0).lambda_by_degree[0])
     flip = None
     for i in range(r.size - 1):

@@ -47,6 +47,8 @@ A_MAX = 1.0 - 1.0e-6
 _DEFAULT_TOL = 1.0e-10
 _SAMPLE_ORDER = 16
 _BASE_ORDER = 28
+# truncation error a base-slice patch must stay below to be used
+_PATCH_TOL = 1.0e-13
 
 
 def _taylor_coeff_block(u0, up0, order):
@@ -106,20 +108,27 @@ class TaylorPatch:
         self.trust = 0.5 * self.radius
 
     def tail_bound(self, smax: float) -> float:
+        """Truncation error estimate for |s| <= smax: the larger of the
+        last two terms, summed as a geometric series at the convergence
+        radius.  One term alone misleads where it happens to be small."""
         x = abs(smax)
         if x >= self.radius:
             return np.inf
-        top = abs(self.coeff_u[-1]) * x**self.order
+        top = max(abs(self.coeff_u[-1]) * x**self.order,
+                  abs(self.coeff_u[-2]) * x**(self.order - 1))
         return top / (1.0 - x / self.radius)
 
-    def eval(self, s):
-        """(u, u') at r0 + s."""
-        s = np.asarray(s, dtype=float)
-        cu = np.broadcast_to(self.coeff_u[:, None], (self.order + 1, s.size))
-        cp = np.broadcast_to(self.coeff_up[:, None], (self.order, s.size))
-        u = _horner(cu, s.ravel()).reshape(s.shape)
-        up = _horner(cp, s.ravel()).reshape(s.shape)
-        return u, up
+    def covers(self, smax: float) -> bool:
+        """Whether |s| <= smax lies inside the trust radius with a tail
+        bound below _PATCH_TOL."""
+        return smax <= self.trust and self.tail_bound(smax) < _PATCH_TOL
+
+    def reach(self) -> float:
+        """The largest smax that ``covers`` accepts, to about 1e-12."""
+        if self.covers(self.trust):
+            return self.trust
+        return float(brentq(lambda x: self.tail_bound(x) - _PATCH_TOL,
+                            0.0, self.trust, xtol=1.0e-12))
 
     def eval_delta(self, s):
         """(u, u', u - u(r0), u' - u'(r0)) with both differences summed
@@ -313,16 +322,15 @@ def solve_warp_factor(a: float, r_max: float, tol: float = _DEFAULT_TOL) -> Warp
     u = np.empty(n)
     up = np.empty(n)
     # fixed-order Taylor stepping: each step is one base-point expansion,
-    # taken a quarter of its convergence radius long (not sized by
-    # tail_bound, whose last coefficient can be accidentally tiny); the
-    # step's expansion fills every table radius inside the step
+    # taken a quarter of its convergence radius long; the step's
+    # expansion fills every table radius inside the step
     r0, u0, up0 = 0.0, float(a), 0.0
     i = 0
     while i < n:
         patch = TaylorPatch(r0, u0, up0)
         r1 = min(r0 + 0.25 * patch.radius, r_max)
         j = n if r1 >= r_max else int(np.searchsorted(rs, r1, side="right"))
-        pu, pup = patch.eval(np.append(rs[i:j], r1) - r0)
+        pu, pup = patch.eval_delta(np.append(rs[i:j], r1) - r0)[:2]
         u[i:j], up[i:j] = pu[:-1], pup[:-1]
         r0, u0, up0, i = r1, pu[-1], pup[-1], j
 
@@ -369,6 +377,14 @@ def conserved_mass(w: WarpFactor, r) -> float:
     return float(val) if np.ndim(val) == 0 else val
 
 
+def _mass_from_integrals(area: float, willmore: float) -> float:
+    """Hawking mass with Lambda = 2 from the area and the integral of H^2."""
+    return float(
+        np.sqrt(area / (16.0 * np.pi))
+        * (1.0 - willmore / (16.0 * np.pi) - area / (12.0 * np.pi))
+    )
+
+
 def slice_geometry(w: WarpFactor, r: float) -> SliceGeometry:
     """Geometry of the round slice at radius r.
 
@@ -383,9 +399,6 @@ def slice_geometry(w: WarpFactor, r: float) -> SliceGeometry:
     gauss = 1.0 / (u * u)
     ric_nn = -2.0 * upp / u
     willmore = mean_curv * mean_curv * area
-    m_h = np.sqrt(area / (16.0 * np.pi)) * (
-        1.0 - willmore / (16.0 * np.pi) - area / (12.0 * np.pi)
-    )
     return SliceGeometry(
         r=float(r),
         u=float(u),
@@ -395,7 +408,7 @@ def slice_geometry(w: WarpFactor, r: float) -> SliceGeometry:
         shape_operator_sq=float(shape_sq),
         gauss_curvature=float(gauss),
         ricci_normal=float(ric_nn),
-        hawking_mass=float(m_h),
+        hawking_mass=_mass_from_integrals(area, willmore),
     )
 
 

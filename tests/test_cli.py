@@ -118,7 +118,7 @@ def test_sweep_rerun_byte_identical(tmp_path):
     args = ("sweep", "perturb", "--a", "0.5", "--r", "0", "--eps", "1e-2",
             "--n", "10", "--seed", "7")
     assert run_cli(*args, "--out", str(p1))[0] == 0
-    assert run_cli(*args, "--workers", "4", "--out", str(p2))[0] == 0
+    assert run_cli(*args, "--out", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -154,13 +154,23 @@ def test_usage_error_unknown_flag():
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", [["--rmax", "0.5"], ["--tol", "1e-2"]])
+@pytest.mark.parametrize("flag", [["--rmax", "0.5"], ["--tol", "1e-2"],
+                                  ["--workers", "2"]])
 def test_sweep_rejects_solver_flags(flag, capsys):
-    """The sweep solves its own range, so solver flags are usage errors."""
+    """The sweep solves its own range and runs serially, so solver and
+    worker flags are usage errors."""
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "perturb", "--a", "0.5", "--n", "1", *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_rejects_eps_beyond_patch_reach():
+    code, out, err = run_cli("sweep", "perturb", "--a", "0.5", "--r", "0",
+                             "--eps", "0.5", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "epsilon 0.5 exceeds the reach 0.371" in err
 
 
 def test_exit_code_mapping_invariant(monkeypatch, capsys):

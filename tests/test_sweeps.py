@@ -11,6 +11,7 @@ from hawkmass import (
     ConvergenceStudy,
     HarmonicField,
     InvariantViolation,
+    RangeError,
     SweepConfig,
     build_graph,
     convergence_study,
@@ -21,6 +22,7 @@ from hawkmass import (
     sobolev_norms,
     solve_warp_factor,
 )
+from hawkmass import sweeps
 from hawkmass.sweeps import assert_sweep_passes
 
 
@@ -93,6 +95,42 @@ def test_sweep_worker_invariance():
     payloads = {n: perturbation_sweep(cfg, workers=n).records_payload()
                 for n in (1, 2, 8)}
     assert payloads[1] == payloads[2] == payloads[8]
+
+
+def test_sweep_rejects_bad_worker_count():
+    with pytest.raises(ValueError, match="workers"):
+        perturbation_sweep(small_config(n_samples=1), workers=0)
+
+
+def test_sweep_rejects_eps_beyond_patch_reach(monkeypatch):
+    """An epsilon the base-slice expansion cannot reach fails up front,
+    before any sample runs."""
+    ran = []
+    real = sweeps._run_sample
+
+    def counting(*args):
+        ran.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "_run_sample", counting)
+    with pytest.raises(RangeError, match=r"epsilon 0\.5 exceeds the reach"):
+        perturbation_sweep(small_config(epsilon=0.5, n_samples=3))
+    assert ran == []
+    assert len(perturbation_sweep(small_config(epsilon=0.3,
+                                               n_samples=2)).records) == 2
+
+
+def test_sweep_record_seed_is_master_seed():
+    """Every record carries the master seed; sample i replays from
+    SeedSequence([seed, i])."""
+    cfg = small_config(n_samples=3)
+    report = perturbation_sweep(cfg)
+    for rec in report.records:
+        assert rec.seed == cfg.master_seed
+        rng = np.random.default_rng(
+            np.random.SeedSequence([rec.seed, rec.index]))
+        phi, _, _ = draw_perturbation(rng, cfg.lmax, cfg.epsilon, 0.5)
+        assert sobolev_norms(phi, 0.5).c2_bound == rec.c2_norm
 
 
 def test_sweep_csv_shape():

@@ -129,9 +129,41 @@ def test_taylor_patch_tracks_solution(w05):
     patch = w05.taylor_patch(1.3)
     s = np.linspace(-0.01, 0.01, 11)
     u_ref, up_ref = w05.evaluate(1.3 + s)
-    u_p, up_p = patch.eval(s)
+    u_p, up_p = patch.eval_delta(s)[:2]
     assert_allclose(u_p, u_ref, rtol=0, atol=1e-12)
     assert_allclose(up_p, up_ref, rtol=0, atol=1e-11)
+
+
+def _patch_error(w, patch, smax):
+    """max |u_patch - u| over |s| <= smax, against the sample evaluator."""
+    s = np.linspace(-smax, smax, 401)
+    return float(np.max(np.abs(patch.eval_delta(s)[0]
+                               - w.evaluate(patch.r0 + s)[0])))
+
+
+def test_tail_bound_reads_past_a_small_last_coefficient():
+    """Here the last coefficient alone bounds the error by 3.6e-14, while
+    the patch is off by 2.5e-13; the gate must refuse the patch."""
+    w = solve_warp_factor(0.5148828075211509, 13.0)
+    patch = w.taylor_patch(11.9375)
+    err = _patch_error(w, patch, 0.45)
+    assert err > 1e-13
+    assert patch.tail_bound(0.45) >= err
+    assert not patch.covers(0.45)
+    assert patch.reach() < 0.45
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(0.2, 0.9), r0_16=st.integers(0, 192),
+       smax=st.floats(0.05, 0.7))
+@example(a=0.5148828075211509, r0_16=191, smax=0.45)
+def test_patch_gate_bounds_error(a, r0_16, smax):
+    """Whatever the patch gate accepts is accurate to 1e-13."""
+    w = solve_warp_factor(a, 13.0)
+    patch = w.taylor_patch(r0_16 / 16.0)
+    if patch.covers(smax):
+        assert _patch_error(w, patch, smax) < 1e-13
+        assert smax <= patch.reach()
 
 
 def test_json_round_trip(w05):
