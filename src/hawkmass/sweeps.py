@@ -18,12 +18,11 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvariantViolation, RangeError
 from .graph import GraphSurface, hawking_mass_deficit
 from .sphere import HarmonicField, sobolev_norms
-from .warp import WarpFactor, slice_geometry, slice_mass_derivative
+from .warp import WarpFactor, _brent, slice_geometry, slice_mass_derivative
 from .variation import (
     jacobi_spectrum,
     quadratic_form_report,
@@ -204,6 +203,7 @@ class SweepReport:
 def build_meta() -> dict:
     """Environment sidecar: never part of the comparable payload."""
     import datetime
+    import importlib.metadata
 
     meta = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -212,9 +212,8 @@ def build_meta() -> dict:
         "platform": platform.platform(),
     }
     try:
-        import scipy
-        meta["scipy"] = scipy.__version__
-    except Exception:
+        meta["scipy"] = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
         pass
     return meta
 
@@ -248,7 +247,7 @@ def _run_sample(cfg: SweepConfig, w: WarpFactor, c_est: float,
                 grid_lmax: int, index: int) -> SweepRecord:
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, index]))
-    u_base, _ = w.evaluate(cfg.base_r)
+    u_base = float(w.taylor_patch(cfg.base_r).coeff_u[0])
     phi, target, _ = draw_perturbation(rng, cfg.lmax, cfg.epsilon, u_base)
     norms = sobolev_norms(phi, u_base)
     slice_tol = cfg.tolerances.get("slice_norm", _SLICE_NORM_TOL)
@@ -389,8 +388,8 @@ def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:
     flip = None
     for i in range(r.size - 1):
         if margins[i] > 0.0 >= margins[i + 1]:
-            flip = float(brentq(lambda x: weak_stability_margin(w, x),
-                                r[i], r[i + 1], xtol=1.0e-12))
+            flip = _brent(lambda x: weak_stability_margin(w, x),
+                          r[i], r[i + 1], xtol=1.0e-12)
             break
     return FoliationScan(
         a=w.a,

@@ -17,15 +17,20 @@ recurrence, and walks a quarter of that expansion's convergence radius.
 Dense evaluation between the stored samples re-expands them to order 16
 through the same recurrence, so no derivative of the numerical solution
 is ever estimated by finite differences.
+
+Roots (the period, the reach of a patch, the margin flip radius in
+``sweeps``) come from ``_brent``, the bracketed zero finder of Brent,
+*Algorithms for Minimization without Derivatives* (1973), ch. 4, in the
+form scipy's ``brentq`` runs; the package needs numpy alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import RangeError, SolveError
 
@@ -49,6 +54,73 @@ _SAMPLE_ORDER = 16
 _BASE_ORDER = 28
 # truncation error a base-slice patch must stay below to be used
 _PATCH_TOL = 1.0e-13
+# relative part of the root finder's tolerance, and its iteration cap
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _brent(f, lo: float, hi: float, xtol: float) -> float:
+    """Zero of f inside [lo, hi], where f(lo) and f(hi) differ in sign.
+
+    Brent's method (1973, ch. 4): inverse quadratic or secant steps,
+    safeguarded by bisection of the current bracket.  Stops once half the
+    bracket is below (xtol + 4 eps |x|) / 2, as ``scipy.optimize.brentq``
+    with its defaults does; raises ``SolveError`` after 100 iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"root finder: f({x:.17g}) is nan")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(
+            f"root finder: f({lo:.17g}) and f({hi:.17g}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the best estimate in xcur, the other end in xblk
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + _BRENT_RTOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise SolveError(
+        f"root finder: no convergence in {_BRENT_MAXITER} iterations "
+        f"on [{lo:.17g}, {hi:.17g}]")
 
 
 def _taylor_coeff_block(u0, up0, order):
@@ -96,6 +168,9 @@ class TaylorPatch:
         U = _taylor_coeff_block(u0, up0, order)[:, 0]
         self.coeff_u = U
         self.coeff_up = U[1:] * np.arange(1, order + 1)
+        # WarpFactor.taylor_patch hands one patch to many callers
+        self.coeff_u.setflags(write=False)
+        self.coeff_up.setflags(write=False)
         # crude convergence radius from the tail growth rate
         ks = np.arange(order // 2, order + 1)
         mags = np.abs(U[ks])
@@ -127,8 +202,8 @@ class TaylorPatch:
         """The largest smax that ``covers`` accepts, to about 1e-12."""
         if self.covers(self.trust):
             return self.trust
-        return float(brentq(lambda x: self.tail_bound(x) - _PATCH_TOL,
-                            0.0, self.trust, xtol=1.0e-12))
+        return _brent(lambda x: self.tail_bound(x) - _PATCH_TOL,
+                      0.0, self.trust, xtol=1.0e-12)
 
     def eval_delta(self, s):
         """(u, u', u - u(r0), u' - u'(r0)) with both differences summed
@@ -206,6 +281,9 @@ class WarpFactor:
         if self.step <= 0 or np.max(np.abs(steps - self.step)) > 1e-9 * self.step:
             raise ValueError("samples must be uniformly spaced")
         self.r_max = float(rs[-1])
+        # the last patch built, as ((r0, order), patch): sweeps build
+        # graphs over one base slice again and again
+        self._patch_memo = None
         self._coeffs = _taylor_coeff_block(
             self.samples[:, 1], self.samples[:, 2], _SAMPLE_ORDER
         )
@@ -247,9 +325,18 @@ class WarpFactor:
         return u.reshape(shape), up.reshape(shape)
 
     def taylor_patch(self, r0: float, order: int = _BASE_ORDER) -> TaylorPatch:
-        """Taylor expansion around r0, for graph builds near one slice."""
-        u0, up0 = self.evaluate(float(r0))
-        return TaylorPatch(float(r0), u0, up0, order)
+        """Taylor expansion around r0, for graph builds near one slice.
+
+        The last patch is kept and handed out again for the same r0 and
+        order; callers must not write to it."""
+        key = (float(r0), order)
+        memo = self._patch_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        u0, up0 = self.evaluate(key[0])
+        patch = TaylorPatch(key[0], u0, up0, order)
+        self._patch_memo = (key, patch)
+        return patch
 
     def curvature_accel(self, u, up):
         """u'' from the profile equation (never finite-differenced)."""
@@ -358,7 +445,7 @@ def _detect_period(w: WarpFactor):
             zeros.append(w.samples[i, 0])
         elif up[i] * up[i + 1] < 0.0:
             f = lambda r: w.evaluate(r)[1]
-            zeros.append(brentq(f, w.samples[i, 0], w.samples[i + 1, 0], xtol=1e-14))
+            zeros.append(_brent(f, w.samples[i, 0], w.samples[i + 1, 0], xtol=1e-14))
         if len(zeros) >= 2:
             break
     if len(zeros) < 2:

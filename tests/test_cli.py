@@ -144,6 +144,37 @@ def test_scan_foliation_summary(tmp_path):
     assert len(doc["masses"]) == 64
 
 
+# runs the CLI with an import hook that refuses every scipy module
+_REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy refused: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from hawkmass.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["sweep", "scan", "mass"])
+def test_cli_runs_without_scipy(command, y1_file, tmp_path):
+    args = {
+        "sweep": ["sweep", "perturb", "--a", "0.5", "--n", "4",
+                  "--out", str(tmp_path / "sweep.csv")],
+        "scan": ["scan", "foliation", "--a", "0.5"],
+        "mass": ["mass", "graph", "--a", "0.5", "--phi", y1_file,
+                 "--scale", "0.01"],
+    }[command]
+    proc = subprocess.run([sys.executable, "-c", _REFUSE_SCIPY, *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
 def test_usage_error_missing_subcommand():
     code, _, err = run_cli("metric")
     assert code == 2

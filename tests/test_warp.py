@@ -12,14 +12,25 @@ from numpy.testing import assert_allclose
 
 from hawkmass import (
     RangeError,
+    SolveError,
     WarpFactor,
     conserved_mass,
+    foliation_scan,
     slice_geometry,
     slice_mass_derivative,
     solve_warp_factor,
     static_chart_roots,
 )
-from hawkmass.warp import A_MAX, A_MIN, _taylor_coeff_block
+from hawkmass import sweeps, warp
+from hawkmass.warp import (
+    _BRENT_RTOL,
+    A_MAX,
+    A_MIN,
+    TaylorPatch,
+    _brent,
+    _detect_period,
+    _taylor_coeff_block,
+)
 
 
 def expected_mass(a):
@@ -311,8 +322,103 @@ def test_taylor_coeff_block_matches_loop_reference(u0, up0):
     assert np.all(np.abs(block - ref) <= 1e-10 * scale)
 
 
-def test_import_skips_scipy_integrate():
-    code = "import sys, hawkmass; print('scipy.integrate' in sys.modules)"
+def test_import_loads_no_scipy():
+    code = ("import sys, hawkmass; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def test_taylor_patch_memo_keeps_the_last_patch(w05):
+    patch = w05.taylor_patch(0.4)
+    assert w05.taylor_patch(0.4) is patch
+    fresh = TaylorPatch(0.4, *w05.evaluate(0.4))
+    assert np.array_equal(patch.coeff_u, fresh.coeff_u)
+    assert patch.coeff_u[0] == w05.evaluate(0.4)[0]
+    with pytest.raises(ValueError):
+        patch.coeff_u[0] = 0.0
+    other = w05.taylor_patch(0.5)
+    assert other.r0 == 0.5
+    assert w05.taylor_patch(0.4) is not patch     # one entry only
+
+
+def _shifted_cubic(root, c, sign):
+    return lambda x: sign * (x - root) * ((x - root) ** 2 + c)
+
+
+def _shifted_tanh(root, c, sign):
+    return lambda x: sign * np.tanh((1.0 + c) * (x - root))
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=st.floats(-5.0, 5.0), below=st.floats(1e-3, 10.0),
+       above=st.floats(1e-3, 10.0),
+       c=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+       sign=st.sampled_from([1.0, -1.0]), swap=st.booleans(),
+       family=st.sampled_from([_shifted_cubic, _shifted_tanh]),
+       xtol=st.sampled_from([1e-14, 1e-12, 1e-8]))
+@example(root=5.48748475504075e-284, below=1.0, above=1.0, c=0.0, sign=1.0,
+         swap=False, family=_shifted_cubic, xtol=1e-14)
+def test_brent_finds_bracketed_root(root, below, above, c, sign, swap,
+                                    family, xtol):
+    """Within xtol + 4 eps |x| of the one root, on the side its residual
+    says: both families are odd about the root, so a nonzero f(x) has
+    exactly the sign of x - root in floating point (a cube of a tiny
+    x - root can underflow to zero).  The iterates are
+    those of scipy's brentq, so the roots agree bit for bit, and both
+    give up on the same slow triple roots (c = 0)."""
+    from scipy.optimize import brentq
+
+    f = family(root, c, sign)
+    ends = (root + above, root - below) if swap else (root - below, root + above)
+    try:
+        x = _brent(f, *ends, xtol=xtol)
+    except SolveError:
+        assert family is _shifted_cubic and c == 0.0
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(f, *ends, xtol=xtol)
+        return
+    assert abs(x - root) <= xtol + _BRENT_RTOL * abs(x)
+    assert f(x) == 0.0 or np.sign(f(x)) == sign * np.sign(x - root)
+    assert x == brentq(f, *ends, xtol=xtol)
+
+
+def test_brent_rejects_unbracketed_interval():
+    with pytest.raises(ValueError, match="same sign"):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(ValueError, match="nan"):
+        _brent(lambda x: np.nan if x > 0.5 else x - 0.75, 0.0, 1.0,
+               xtol=1e-12)
+
+
+def test_brent_raises_when_not_converged(monkeypatch):
+    monkeypatch.setattr(warp, "_BRENT_MAXITER", 2)
+    with pytest.raises(SolveError, match="no convergence"):
+        _brent(np.tanh, -3.0, 5.0, xtol=1e-14)
+
+
+@pytest.mark.parametrize("a", np.linspace(0.2, 0.9, 8))
+def test_brent_matches_scipy_brentq_at_call_sites(a, monkeypatch):
+    """The period, the patch reach and the margin flip radius agree with
+    scipy's brentq on the same brackets and tolerances."""
+    from scipy.optimize import brentq
+
+    w = solve_warp_factor(float(a), 13.0)
+    grid = np.linspace(0.0, w.period, 256, endpoint=False)
+    patches = [w.taylor_patch(r0) for r0 in (0.0, 11.9375)]
+
+    def roots():
+        return ([_detect_period(w), foliation_scan(w, grid).margin_flip_radius]
+                + [p.reach() for p in patches])
+
+    ours = roots()
+    scipy_brent = lambda f, lo, hi, xtol: float(brentq(f, lo, hi, xtol=xtol))
+    monkeypatch.setattr(warp, "_brent", scipy_brent)
+    monkeypatch.setattr(sweeps, "_brent", scipy_brent)
+    theirs = roots()
+    assert ours[0] == w.period
+    assert (ours[1] is None) == (theirs[1] is None)
+    for x, y in zip(ours, theirs):
+        if x is not None:
+            assert abs(x - y) <= 1e-12, (ours, theirs)
