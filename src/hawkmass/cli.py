@@ -84,7 +84,7 @@ def _cmd_metric_solve(args) -> int:
         "mass": w.mass,
         "r_max": w.r_max,
         "period": w.period,
-        "n_samples": int(w.samples.shape[0]),
+        "n_nodes": int(w.nodes.shape[0]),
     }
     if args.out:
         _atomic_write(args.out, w.to_json())
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     metric = groups.add_parser("metric", help="warp profile solving")
     metric_ops = metric.add_subparsers(dest="op", required=True)
     p = metric_ops.add_parser("solve", parents=[common],
-                              help="solve the warp profile, emit samples")
+                              help="solve the warp profile, emit the step nodes")
     p.set_defaults(func=_cmd_metric_solve)
 
     slc = groups.add_parser("slice", help="slice geometry")

@@ -14,9 +14,10 @@ The profile comes from a fixed-order Taylor stepper (Jorba & Zou, Exp.
 Math. 14, 2005): each step expands the solution to order 28 around its
 base point, with coefficients from the differential equation's own
 recurrence, and walks a quarter of that expansion's convergence radius.
-Dense evaluation between the stored samples re-expands them to order 16
-through the same recurrence, so no derivative of the numerical solution
-is ever estimated by finite differences.
+The stepper's patches are the profile: ``WarpFactor`` keeps the step
+nodes and evaluates the expansion of the step that contains a radius
+(the dense output of the Taylor method itself), so no derivative of the
+numerical solution is ever estimated by finite differences.
 
 Roots (the period, the reach of a patch, the margin flip radius in
 ``sweeps``) come from ``_brent``, the bracketed zero finder of Brent,
@@ -50,8 +51,10 @@ A_MIN = 1.0e-3
 A_MAX = 1.0 - 1.0e-6
 
 _DEFAULT_TOL = 1.0e-10
-_SAMPLE_ORDER = 16
 _BASE_ORDER = 28
+_POWERS = np.arange(1, _BASE_ORDER + 1, dtype=float)
+# a Taylor step's length, as a fraction of its expansion's convergence radius
+_STEP_FRACTION = 0.25
 # truncation error a base-slice patch must stay below to be used
 _PATCH_TOL = 1.0e-13
 # relative part of the root finder's tolerance, and its iteration cap
@@ -151,6 +154,15 @@ def _taylor_coeff_block(u0, up0, order):
     return np.ascontiguousarray(left[:, 2].T)
 
 
+def _convergence_radius(U):
+    """Crude convergence radius of sum_k U[k] s^k from its tail, per column."""
+    order = U.shape[0] - 1
+    ks = np.arange(order // 2, order + 1)
+    roots = np.abs(U[ks]) ** (1.0 / ks).reshape((-1,) + (1,) * (U.ndim - 1))
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.max(roots, axis=0)
+
+
 def _horner(coeffs, s):
     """Evaluate per-column polynomials: coeffs (K+1, n), s (n,)."""
     res = coeffs[-1].copy()
@@ -171,26 +183,20 @@ class TaylorPatch:
         # WarpFactor.taylor_patch hands one patch to many callers
         self.coeff_u.setflags(write=False)
         self.coeff_up.setflags(write=False)
-        # crude convergence radius from the tail growth rate
-        ks = np.arange(order // 2, order + 1)
-        mags = np.abs(U[ks])
-        good = mags > 0.0
-        if np.any(good):
-            rho = np.max(mags[good] ** (1.0 / ks[good]))
-            self.radius = 1.0 / rho if rho > 0 else np.inf
-        else:
-            self.radius = np.inf
+        self.radius = float(_convergence_radius(U))
         self.trust = 0.5 * self.radius
 
     def tail_bound(self, smax: float) -> float:
-        """Truncation error estimate for |s| <= smax: the larger of the
-        last two terms, summed as a geometric series at the convergence
-        radius.  One term alone misleads where it happens to be small."""
+        """Truncation error estimate of u and u' for |s| <= smax: the
+        largest of the last two terms of either series, summed as a
+        geometric series at the convergence radius.  One term alone
+        misleads where it happens to be small, and the u' series, which
+        graph builds read too, converges a factor order / x slower."""
         x = abs(smax)
         if x >= self.radius:
             return np.inf
-        top = max(abs(self.coeff_u[-1]) * x**self.order,
-                  abs(self.coeff_u[-2]) * x**(self.order - 1))
+        top = max(abs(c[-j]) * x**(c.size - j)
+                  for c in (self.coeff_u, self.coeff_up) for j in (1, 2))
         return top / (1.0 - x / self.radius)
 
     def covers(self, smax: float) -> bool:
@@ -247,7 +253,12 @@ class SliceGeometry:
 
 
 class WarpFactor:
-    """Solved warp factor with dense sampled data and local evaluators.
+    """Solved warp factor: the Taylor stepper's nodes and their expansions.
+
+    Each node starts one step of the stepper, and the order-28 expansion
+    around it is the profile on that step.  The expansions are rebuilt
+    from the nodes with the stepper's own recurrence, so they equal its
+    patches bit for bit.
 
     Attributes
     ----------
@@ -256,73 +267,64 @@ class WarpFactor:
     mass : float
         Conserved first integral (a / 2)(1 - a^2 / 3).
     r_max : float
-        End of the tabulated range [0, r_max]; negative arguments are
-        served by evenness of u.
-    samples : ndarray, shape (n, 3)
-        Columns (r, u, u'), uniformly spaced.
+        End of the solved range [0, r_max], the last node; negative
+        arguments are served by evenness of u.
+    nodes : ndarray, shape (n, 3)
+        Columns (r, u, u'), from r = 0 to r_max, each step at most a
+        quarter of its expansion's convergence radius long.
     period : float or None
         Distance between consecutive returns to the minimal radius, when
-        the tabulated range contains at least one full period.
+        the solved range contains at least one full period.
     """
 
-    def __init__(self, a, mass, samples, period, tol=_DEFAULT_TOL):
+    def __init__(self, a, mass, nodes, period):
         self.a = float(a)
         self.mass = float(mass)
-        self.samples = np.asarray(samples, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 3:
-            raise ValueError("samples must have shape (n, 3)")
-        if self.samples.shape[0] < 2:
-            raise ValueError("need at least two samples")
+        self.nodes = np.asarray(nodes, dtype=float)
+        if (self.nodes.ndim != 2 or self.nodes.shape[1] != 3
+                or self.nodes.shape[0] < 2):
+            raise ValueError("nodes must have shape (n, 3) with n >= 2")
         self.period = None if period is None else float(period)
-        self.tol = float(tol)
-        rs = self.samples[:, 0]
-        steps = np.diff(rs)
-        self.step = float(steps[0])
-        if self.step <= 0 or np.max(np.abs(steps - self.step)) > 1e-9 * self.step:
-            raise ValueError("samples must be uniformly spaced")
-        self.r_max = float(rs[-1])
+        self._r = np.ascontiguousarray(self.nodes[:, 0])
+        if self._r[0] != 0.0 or not np.all(np.diff(self._r) > 0.0):
+            raise ValueError("node radii must start at 0 and increase strictly")
+        self.r_max = float(self._r[-1])
         # the last patch built, as ((r0, order), patch): sweeps build
         # graphs over one base slice again and again
         self._patch_memo = None
-        self._coeffs = _taylor_coeff_block(
-            self.samples[:, 1], self.samples[:, 2], _SAMPLE_ORDER
-        )
-        self._check_sample_density()
+        U = _taylor_coeff_block(self.nodes[:, 1], self.nodes[:, 2], _BASE_ORDER)
+        reach = _STEP_FRACTION * _convergence_radius(U[:, :-1])
+        # written so that a non-finite node or coefficient fails it too
+        if not np.all(self._r[1:] <= (self._r[:-1] + reach) * (1.0 + 1.0e-12)):
+            raise ValueError("node steps must be finite and within a quarter "
+                             "of their convergence radius")
+        # per node, the coefficients of s^1 .. s^28 in u and in u'
+        self._tails = np.zeros((self._r.size, 2, _BASE_ORDER))
+        self._tails[:, 0] = U[1:].T
+        self._tails[:, 1, :-1] = (U[2:] * _POWERS[1:, None]).T
 
     # -- evaluation -----------------------------------------------------
 
-    def _check_sample_density(self):
-        half = 0.55 * self.step
-        tail = np.abs(self._coeffs[-3:]) * half ** np.arange(
-            _SAMPLE_ORDER - 2, _SAMPLE_ORDER + 1
-        ).reshape(-1, 1)
-        if float(np.max(tail)) > 1.0e-13:
-            raise ValueError(
-                "sample spacing too coarse for the local Taylor evaluator"
-            )
-
     def evaluate(self, r):
-        """(u, u') at radii r, vectorized; even continuation for r < 0."""
+        """(u, u') at radii r, vectorized; even continuation for r < 0.
+
+        Each radius is served by the expansion of the step containing it;
+        the terms past the constant are summed first, then the constant is
+        added, which keeps the sum free of cancellation."""
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rf = np.abs(np.atleast_1d(r).ravel())
-        if np.any(rf > self.r_max + 0.5 * self.step):
-            raise RangeError(
-                f"radius beyond tabulated range [0, {self.r_max:.6g}]"
-            )
-        idx = np.clip(
-            np.rint(rf / self.step).astype(int), 0, self.samples.shape[0] - 1
-        )
-        s = rf - self.samples[idx, 0]
-        u = _horner(self._coeffs[:, idx], s)
-        dcoef = self._coeffs[1:, idx] * np.arange(1, _SAMPLE_ORDER + 1)[:, None]
-        up = _horner(dcoef, s)
-        sign = np.where(np.atleast_1d(r).ravel() < 0.0, -1.0, 1.0)
-        up = up * sign
-        if scalar:
+        rr = r.reshape(-1)
+        rf = np.abs(rr)
+        if np.any(rf > self.r_max):
+            raise RangeError(f"radius beyond solved range [0, {self.r_max:.6g}]")
+        idx = np.searchsorted(self._r, rf, side="right") - 1
+        s = rf - self._r[idx]
+        tail = np.einsum("ik,ijk->ij", s[:, None] ** _POWERS, self._tails[idx])
+        val = self.nodes[idx, 1:] + tail
+        u = val[:, 0]
+        up = np.where(rr < 0.0, -val[:, 1], val[:, 1])
+        if r.ndim == 0:
             return float(u[0]), float(up[0])
-        shape = np.atleast_1d(r).shape
-        return u.reshape(shape), up.reshape(shape)
+        return u.reshape(r.shape), up.reshape(r.shape)
 
     def taylor_patch(self, r0: float, order: int = _BASE_ORDER) -> TaylorPatch:
         """Taylor expansion around r0, for graph builds near one slice.
@@ -352,29 +354,28 @@ class WarpFactor:
                 "a": self.a,
                 "mass": self.mass,
                 "period": self.period,
-                "samples": [[float(r), float(u), float(up)] for r, u, up in self.samples],
+                "nodes": self.nodes.tolist(),
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "WarpFactor":
+        """Read ``to_json`` output.  A document of the older uniform
+        ``samples`` table is re-solved from its a and its last radius."""
         data = json.loads(text)
         mass = float(data["mass"])
         a = float(data["a"])
         expect = 0.5 * a * (1.0 - a * a / 3.0)
         if abs(mass - expect) > 1.0e-10:
             raise ValueError("stored mass inconsistent with stored a")
-        return cls(
-            a=a,
-            mass=mass,
-            samples=np.asarray(data["samples"], dtype=float),
-            period=data["period"],
-        )
+        if "nodes" not in data:
+            return solve_warp_factor(a, float(data["samples"][-1][0]))
+        return cls(a, mass, data["nodes"], data["period"])
 
     def __repr__(self):  # pragma: no cover
         return (
             f"WarpFactor(a={self.a}, r_max={self.r_max}, "
-            f"period={self.period}, n={self.samples.shape[0]})"
+            f"period={self.period}, n={self.nodes.shape[0]})"
         )
 
 
@@ -386,11 +387,12 @@ def solve_warp_factor(a: float, r_max: float, tol: float = _DEFAULT_TOL) -> Warp
     a : float
         Minimal radius in [1e-3, 1 - 1e-6].
     r_max : float
-        Length of the tabulated range; must be positive.
+        Length of the solved range; must be positive.
     tol : float
         Bound on the conserved-mass drift: the first integral is verified
-        to drift less than 10 * tol across the tabulated samples.  The
-        Taylor stepper itself runs at roundoff, whatever tol is.
+        to drift less than 10 * tol on the step nodes and the step
+        midpoints.  The Taylor stepper itself runs at roundoff, whatever
+        tol is.
 
     Returns
     -------
@@ -404,30 +406,26 @@ def solve_warp_factor(a: float, r_max: float, tol: float = _DEFAULT_TOL) -> Warp
         raise ValueError("tol must be in [1e-13, 1e-4]")
 
     r_max = float(r_max)
-    n = max(int(np.ceil(r_max / min(0.02, a / 8.0))) + 1, 9)
-    rs = np.linspace(0.0, r_max, n)
-    u = np.empty(n)
-    up = np.empty(n)
     # fixed-order Taylor stepping: each step is one base-point expansion,
-    # taken a quarter of its convergence radius long; the step's
-    # expansion fills every table radius inside the step
+    # taken a quarter of its convergence radius long
     r0, u0, up0 = 0.0, float(a), 0.0
-    i = 0
-    while i < n:
+    nodes = [(r0, u0, up0)]
+    while r0 < r_max:
         patch = TaylorPatch(r0, u0, up0)
-        r1 = min(r0 + 0.25 * patch.radius, r_max)
-        j = n if r1 >= r_max else int(np.searchsorted(rs, r1, side="right"))
-        pu, pup = patch.eval_delta(np.append(rs[i:j], r1) - r0)[:2]
-        u[i:j], up[i:j] = pu[:-1], pup[:-1]
-        r0, u0, up0, i = r1, pu[-1], pup[-1], j
+        r1 = min(r0 + _STEP_FRACTION * patch.radius, r_max)
+        pu, pup = patch.eval_delta(r1 - r0)[:2]
+        r0, u0, up0 = r1, float(pu), float(pup)
+        nodes.append((r0, u0, up0))
 
     mass = 0.5 * a * (1.0 - a * a / 3.0)
-    drift = np.max(np.abs(0.5 * u * (1.0 - up * up - u * u / 3.0) - mass))
+    w = WarpFactor(a, mass, nodes, None)
+    rs = w.nodes[:, 0]
+    mids = 0.5 * (rs[1:] + rs[:-1])
+    drift = np.max(np.abs(conserved_mass(w, np.concatenate([rs, mids])) - mass))
     if not drift <= 10.0 * tol:
         raise SolveError(
             f"conserved-mass drift {drift:.3e} exceeds 10*tol={10 * tol:.1e}"
         )
-    w = WarpFactor(a, mass, np.column_stack([rs, u, up]), None, tol)
     w.period = _detect_period(w)
     return w
 
@@ -436,16 +434,17 @@ def _detect_period(w: WarpFactor):
     """Distance between consecutive returns of u to its minimum.
 
     u' vanishes at multiples of half the period; the full period is the
-    second interior zero, where u matches the minimal radius again.
+    second interior zero, where u matches the minimal radius again.  The
+    zeros are bracketed by the step nodes.
     """
-    up = w.samples[:, 2]
+    rs, up = w.nodes[:, 0], w.nodes[:, 2]
     zeros = []
     for i in range(1, up.size - 1):
         if up[i] == 0.0:
-            zeros.append(w.samples[i, 0])
+            zeros.append(rs[i])
         elif up[i] * up[i + 1] < 0.0:
             f = lambda r: w.evaluate(r)[1]
-            zeros.append(_brent(f, w.samples[i, 0], w.samples[i + 1, 0], xtol=1e-14))
+            zeros.append(_brent(f, rs[i], rs[i + 1], xtol=1e-14))
         if len(zeros) >= 2:
             break
     if len(zeros) < 2:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hawkmass import HarmonicField, WarpFactor
+from hawkmass import HarmonicField, WarpFactor, solve_warp_factor
 from hawkmass.cli import main
 
 
@@ -32,6 +32,7 @@ def test_metric_solve_summary():
     assert doc["mass"] == pytest.approx(0.2291667, abs=1e-6)
     assert doc["period"] == pytest.approx(6.154021, abs=1e-5)
     assert doc["r_max"] == 10.0
+    assert doc["n_nodes"] == len(solve_warp_factor(0.5, 10.0).nodes)
 
 
 def test_metric_solve_rejects_bad_radius():
@@ -201,7 +202,7 @@ def test_sweep_rejects_eps_beyond_patch_reach():
                              "--eps", "0.5", "--n", "3")
     assert code == 2
     assert out == ""
-    assert "epsilon 0.5 exceeds the reach 0.371" in err
+    assert "epsilon 0.5 exceeds the reach 0.317" in err
 
 
 def test_exit_code_mapping_invariant(monkeypatch, capsys):

@@ -119,6 +119,13 @@ def test_range_guard(w05):
         w05.evaluate(-(w05.r_max + 1.0))
 
 
+def test_range_ends_exactly_at_the_last_node(w05):
+    u, up = w05.evaluate(w05.r_max)
+    assert (u, up) == tuple(w05.nodes[-1, 1:])
+    with pytest.raises(RangeError):
+        w05.evaluate(np.nextafter(w05.r_max, np.inf))
+
+
 def test_evaluate_scalar_and_vector_agree(w05):
     r = np.array([0.3, 1.1, 2.9])
     u_vec, up_vec = w05.evaluate(r)
@@ -146,10 +153,12 @@ def test_taylor_patch_tracks_solution(w05):
 
 
 def _patch_error(w, patch, smax):
-    """max |u_patch - u| over |s| <= smax, against the sample evaluator."""
+    """max |u_patch - u| and max |u'_patch - u'| over |s| <= smax, against
+    the profile's own evaluator."""
     s = np.linspace(-smax, smax, 401)
-    return float(np.max(np.abs(patch.eval_delta(s)[0]
-                               - w.evaluate(patch.r0 + s)[0])))
+    got = patch.eval_delta(s)[:2]
+    ref = w.evaluate(patch.r0 + s)
+    return tuple(float(np.max(np.abs(g - r))) for g, r in zip(got, ref))
 
 
 def test_tail_bound_reads_past_a_small_last_coefficient():
@@ -157,7 +166,7 @@ def test_tail_bound_reads_past_a_small_last_coefficient():
     the patch is off by 2.5e-13; the gate must refuse the patch."""
     w = solve_warp_factor(0.5148828075211509, 13.0)
     patch = w.taylor_patch(11.9375)
-    err = _patch_error(w, patch, 0.45)
+    err = _patch_error(w, patch, 0.45)[0]
     assert err > 1e-13
     assert patch.tail_bound(0.45) >= err
     assert not patch.covers(0.45)
@@ -168,12 +177,17 @@ def test_tail_bound_reads_past_a_small_last_coefficient():
 @given(a=st.floats(0.2, 0.9), r0_16=st.integers(0, 192),
        smax=st.floats(0.05, 0.7))
 @example(a=0.5148828075211509, r0_16=191, smax=0.45)
+@example(a=0.2, r0_16=179, smax=0.3)
 def test_patch_gate_bounds_error(a, r0_16, smax):
-    """Whatever the patch gate accepts is accurate to 1e-13."""
+    """Whatever the patch gate accepts is accurate to 1e-13, in u and in
+    u'.  In the second example the u series alone is accurate, while the
+    u' series, which converges more slowly, is off by 7e-12."""
     w = solve_warp_factor(a, 13.0)
     patch = w.taylor_patch(r0_16 / 16.0)
     if patch.covers(smax):
-        assert _patch_error(w, patch, smax) < 1e-13
+        err_u, err_up = _patch_error(w, patch, smax)
+        assert err_u < 1e-13
+        assert err_up < 1e-13
         assert smax <= patch.reach()
 
 
@@ -182,7 +196,65 @@ def test_json_round_trip(w05):
     assert w2.a == w05.a
     assert w2.mass == w05.mass
     assert w2.period == w05.period
-    assert np.array_equal(w2.samples, w05.samples)
+    assert np.array_equal(w2.nodes, w05.nodes)
+    r = np.linspace(-w05.r_max, w05.r_max, 1000)
+    for got, ref in zip(w2.evaluate(r), w05.evaluate(r)):
+        assert np.array_equal(got, ref)
+
+
+def test_json_reads_uniform_sample_documents(w05):
+    """The older format stored a uniform (r, u, u') table; it is re-solved
+    from its a and its last radius."""
+    r = np.linspace(0.0, 13.0, 651)
+    u, up = w05.evaluate(r)
+    doc = {"a": 0.5, "mass": w05.mass, "period": w05.period,
+           "samples": np.column_stack([r, u, up]).tolist()}
+    w2 = WarpFactor.from_json(json.dumps(doc))
+    assert w2.r_max == 13.0
+    assert w2.period == w05.period
+    assert np.array_equal(w2.nodes, w05.nodes)
+    rr = np.linspace(0.0, 13.0, 1000)
+    for got, ref in zip(w2.evaluate(rr), w05.evaluate(rr)):
+        assert np.array_equal(got, ref)
+
+
+def _bad_nodes(kind, nodes):
+    if kind == "flat":
+        return nodes[:, :2]
+    if kind == "single":
+        return nodes[:1]
+    if kind == "repeated":
+        return np.insert(nodes, 3, nodes[3], axis=0)
+    if kind == "reversed":
+        return nodes[::-1]
+    if kind == "offset":
+        return nodes + np.array([0.1, 0.0, 0.0])
+    if kind in ("nan", "zero_u"):
+        nodes = nodes.copy()
+        nodes[4, 1] = np.nan if kind == "nan" else 0.0
+        return nodes
+    # every second node dropped: twice the stepper's steps
+    return nodes[::2]
+
+
+@pytest.mark.parametrize("kind", ["flat", "single", "repeated", "reversed",
+                                  "offset", "spread", "nan", "zero_u"])
+def test_constructor_rejects_bad_nodes(w05, kind):
+    with pytest.raises(ValueError), np.errstate(all="ignore"):
+        WarpFactor(w05.a, w05.mass, _bad_nodes(kind, w05.nodes), w05.period)
+
+
+def test_nodes_are_the_stepper_steps():
+    """At a = 1e-3 the neck forces short steps, yet the whole range needs
+    few of them; each node is the previous step's patch at a quarter of
+    its convergence radius."""
+    w = solve_warp_factor(1.0e-3, 13.0)
+    assert w.nodes.shape[0] <= 200
+    for (r0, u0, up0), nxt in zip(w.nodes[:-2], w.nodes[1:-1]):
+        patch = TaylorPatch(r0, u0, up0)
+        h = nxt[0] - r0
+        assert nxt[0] == r0 + 0.25 * patch.radius
+        assert tuple(nxt[1:]) == tuple(float(v) for v in patch.eval_delta(h)[:2])
 
 
 def test_json_rejects_tampered_mass(w05):
@@ -256,11 +328,11 @@ def test_small_minimum_radius_solves():
 @example(a=0.5148828075211509, r_max=13.0)
 def test_taylor_stepper_conserves_mass(a, r_max):
     """The stepped profile keeps the first integral at roundoff, on the
-    samples and between them; the example is a neck radius whose order-28
-    tail coefficient is accidentally tiny at r ~ 3.75."""
+    step nodes and at the step midpoints; the example is a neck radius
+    whose order-28 tail coefficient is accidentally tiny at r ~ 3.75."""
     w = solve_warp_factor(a, r_max)
-    mid = 0.5 * (w.samples[1:, 0] + w.samples[:-1, 0])
-    for r in (w.samples[:, 0], mid):
+    mid = 0.5 * (w.nodes[1:, 0] + w.nodes[:-1, 0])
+    for r in (w.nodes[:, 0], mid):
         u, up = w.evaluate(r)
         drift = np.max(np.abs(0.5 * u * (1.0 - up * up - u * u / 3.0) - w.mass))
         assert drift <= 1e-12
