@@ -327,8 +327,7 @@ def induced_laplacian(surface: GraphSurface, values: np.ndarray) -> np.ndarray:
     tests.  Raises ``SolveError`` if the solve does not converge.
     """
     grid = surface.grid
-    jet = grid.synthesize_jet(grid.analyze(values))
-    vt, vl = jet["ft"], jet["fl"]
+    vt, vl = grid.synthesize_gradient(grid.analyze(values))
     h_tt, h_tl, h_ll = surface._hinv
     dens = grid.quad_weights * surface.area_element
     rhs = -grid.gradient_transpose(dens * (h_tt * vt + h_tl * vl),

@@ -21,6 +21,20 @@ A field of coefficients ``c`` has unit-sphere integrals
 
 and the same field read on a round slice of radius ``u`` scales these by
 ``u^2``, ``1`` and ``u^-2`` respectively.
+
+Transform layout
+----------------
+Each grid gathers the flat coefficients into a zero-padded
+``(m, branch, l)`` array (branch 0 cosine, 1 sine; slots with ``l < m``
+and the sine branch of ``m = 0`` read 0) and keeps one Legendre table in
+``(m, l, theta)`` layout, value, d/dtheta and d2/dtheta2 blocks side by
+side with the azimuth normalization folded in; its ``l < m`` entries are
+exactly 0.  Synthesis is then one batched matmul over the orders for the
+colatitude profiles and one matmul of the stacked profile pairs against
+the cosines and sines.  Analysis and the gradient transpose run the same
+two steps backwards and scatter through the same index (the padded
+layout of SHTns: Schaeffer, G^3 14, 2013).  The colatitude nodes are
+Newton-polished Gauss-Legendre nodes.
 """
 
 from __future__ import annotations
@@ -52,37 +66,71 @@ def coeff_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def _legendre_tables(lmax: int, x: np.ndarray):
-    """Normalized associated Legendre values and theta-derivatives.
+def _legendre_recurrence(n: int, x: np.ndarray):
+    """Legendre polynomial ``P_n`` and its derivative at ``x`` by the
+    three-term recurrence (``|x| < 1``)."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
 
-    Returns ``(p, dp)`` with ``p[l, m, j]`` orthonormal on [-1, 1]
-    (``int p_lm^2 dx = 1``); ``p`` extends to degree ``lmax + 1`` because
+
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] for ``n >= 2`` nodes.
+
+    ``leggauss`` nodes are off by a few ulps, which at 81 nodes leaves the
+    orthonormal ``x * p_63`` integrated to 1.5e-14 instead of 0.  Two Newton steps on
+    the three-term recurrence and the weights ``2 / ((1 - x^2) P_n'^2)``
+    at the polished nodes remove that (Hale & Townsend, SIAM J. Sci.
+    Comput. 35, 2013).
+    """
+    x = np.polynomial.legendre.leggauss(n)[0]
+    for _ in range(2):
+        p, dp = _legendre_recurrence(n, x)
+        x = x - p / dp
+    dp = _legendre_recurrence(n, x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _legendre_tables(lmax: int, x: np.ndarray) -> np.ndarray:
+    """Normalized associated Legendre values and colatitude derivatives.
+
+    Returns ``table[m, l, k, j]`` for ``k`` = 0, 1, 2: the function
+    orthonormal on [-1, 1] (``int p_lm^2 dx = 1``) and its first and
+    second theta-derivatives at node ``j``.  Entries with ``l < m`` are
+    exactly 0.  The values extend to degree ``lmax + 1`` internally because
     the derivative recurrence couples neighbouring degrees.
     """
     nt = x.size
     s = np.sqrt(1.0 - x * x)
     lt = lmax + 1
-    p = np.zeros((lt + 1, lt + 1, nt))
+    p = np.zeros((lt + 1, lt + 1, nt))          # p[m, l]
     p[0, 0] = 1.0 / np.sqrt(2.0)
     for m in range(1, lt + 1):
         p[m, m] = np.sqrt((2 * m + 1) / (2.0 * m)) * s * p[m - 1, m - 1]
     for m in range(0, lt):
-        p[m + 1, m] = np.sqrt(2 * m + 3.0) * x * p[m, m]
+        p[m, m + 1] = np.sqrt(2 * m + 3.0) * x * p[m, m]
         for l in range(m + 2, lt + 1):
             alpha = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             beta = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[l, m] = alpha * (x * p[l - 1, m] - beta * p[l - 2, m])
+            p[m, l] = alpha * (x * p[m, l - 1] - beta * p[m, l - 2])
 
-    dp = np.zeros((lmax + 1, lmax + 1, nt))
-    for m in range(0, lmax + 1):
-        for l in range(m, lmax + 1):
+    table = np.zeros((lt, lt, 3, nt))
+    table[:, :, 0] = p[:lt, :lt]
+    ll = np.arange(lt)
+    for m in range(0, lt):
+        for l in range(m, lt):
             e_up = np.sqrt(((l + 1.0) ** 2 - m * m) / (4.0 * (l + 1.0) ** 2 - 1.0))
-            term = l * e_up * p[l + 1, m]
+            term = l * e_up * p[m, l + 1]
             if l - 1 >= m:
                 e_dn = np.sqrt((l * l - m * m) / (4.0 * l * l - 1.0))
-                term = term - (l + 1) * e_dn * p[l - 1, m]
-            dp[l, m] = term / s
-    return p[: lmax + 1, : lmax + 1], dp
+                term = term - (l + 1) * e_dn * p[m, l - 1]
+            table[m, l, 1] = term / s
+        # second theta-derivative from the Legendre ODE:
+        # p'' = -cot(theta) p' - (l(l+1) - m^2/sin^2) p
+        klm = (ll * (ll + 1.0))[:, None] - m * m / (s * s)
+        table[m, :, 2] = -(x / s) * table[m, :, 1] - klm * table[m, :, 0]
+    return table
 
 
 class SphereGrid:
@@ -99,7 +147,7 @@ class SphereGrid:
         if lmax < 1:
             raise ValueError("lmax must be >= 1")
         self.lmax = int(lmax)
-        x, w = np.polynomial.legendre.leggauss(lmax + 1)
+        x, w = _gauss_legendre(lmax + 1)
         self.x = x
         self.theta = np.arccos(x)
         self.sin_theta = np.sqrt(1.0 - x * x)
@@ -109,51 +157,59 @@ class SphereGrid:
         self.lon = 2.0 * np.pi * np.arange(self.n_lon) / self.n_lon
         # quadrature weight per node; sums to 4*pi
         self.quad_weights = np.outer(w, np.full(self.n_lon, 2.0 * np.pi / self.n_lon))
-
-        self._p, self._dp = _legendre_tables(lmax, x)
-        ll = np.arange(lmax + 1)
-        # second theta-derivative from the Legendre ODE:
-        # p'' = -cot(theta) p' - (l(l+1) - m^2/sin^2) p
-        cot = (x / self.sin_theta)[None, None, :]
-        klm = (ll * (ll + 1.0))[:, None, None] - (ll**2)[None, :, None] / (
-            self.sin_theta**2
-        )[None, None, :]
-        self._d2p = -cot * self._dp - klm * self._p
+        self.n_modes = (lmax + 1) ** 2
 
         m = np.arange(lmax + 1)
+        # azimuth normalization of the real harmonics, folded into the table
+        azf = np.full(lmax + 1, 1.0 / np.sqrt(np.pi))
+        azf[0] = 1.0 / np.sqrt(2.0 * np.pi)
+        table = _legendre_tables(lmax, x)
+        table *= azf[:, None, None, None]
+        # (m, l, value | d/dtheta | d2/dtheta2 blocks of n_lat nodes each)
+        self._table = table.reshape(lmax + 1, lmax + 1, 3 * self.n_lat)
+        # rows cos(m lon), sin(m lon) interleaved by order m
         ang = np.outer(m, self.lon)
-        self._cos = np.cos(ang)
-        self._sin = np.sin(ang)
-        # azimuth normalization of the real harmonics
-        self._azf = np.full(lmax + 1, 1.0 / np.sqrt(np.pi))
-        self._azf[0] = 1.0 / np.sqrt(2.0 * np.pi)
-
-        self.n_modes = (lmax + 1) ** 2
+        self._azimuth = np.stack([np.cos(ang), np.sin(ang)], axis=1).reshape(
+            2 * (lmax + 1), self.n_lon)
+        # flat index of the (m, cosine | sine branch, l) coefficient; the
+        # pad slots (l < m, and the sine branch of m = 0) point one past the
+        # end, at a zero appended to the coefficients
+        ms, l = m[:, None, None], m[None, None, :]
+        sign = np.array([1, -1])[None, :, None]
+        pad = (l < ms) | ((ms == 0) & (sign < 0))
+        self._gather = np.where(pad, self.n_modes, l * l + l + sign * ms)
+        # d/dlon of c cos(m lon) + s sin(m lon) has branches (m s, -m c)
+        self._dlon = m[:, None] * np.array([1.0, -1.0])
         self._lock = threading.Lock()
         self._basis_cache: dict[str, np.ndarray] = {}
 
-    # -- coefficient <-> profile packing -------------------------------
+    # -- transforms: one batched matmul over the orders m ----------------
 
-    def _pack_profiles(self, coeffs: np.ndarray, table: np.ndarray):
-        """Colatitude profiles (cosine and sine branches) of a coefficient
-        vector against a value/derivative table."""
-        lmax = self.lmax
-        cosprof = np.zeros((lmax + 1, self.n_lat))
-        sinprof = np.zeros((lmax + 1, self.n_lat))
-        for m in range(0, lmax + 1):
-            ls = np.arange(m, lmax + 1)
-            idx_c = ls * ls + ls + m
-            cosprof[m] = self._azf[m] * (coeffs[idx_c] @ table[m:, m, :])
-            if m > 0:
-                idx_s = ls * ls + ls - m
-                sinprof[m] = self._azf[m] * (coeffs[idx_s] @ table[m:, m, :])
-        return cosprof, sinprof
+    def _profiles(self, coeffs: np.ndarray, blocks: int) -> np.ndarray:
+        """Colatitude profiles ``(m, branch, blocks * n_lat)`` of a flat
+        coefficient vector against the first ``blocks`` table blocks."""
+        coeffs = self._check_coeffs(coeffs)
+        padded = np.append(coeffs, 0.0)[self._gather]       # (m, branch, l)
+        return padded @ self._table[:, :, : blocks * self.n_lat]
+
+    def _azimuth_sum(self, pairs: np.ndarray) -> np.ndarray:
+        """Grid fields from profile pairs ``(m, branch, k, n_lat)``: one
+        matmul against the stacked cosines and sines, shape
+        ``(k, n_lat, n_lon)``."""
+        k = pairs.shape[2]
+        flat = pairs.reshape(self._azimuth.shape[0], k * self.n_lat)
+        return (flat.T @ self._azimuth).reshape(k, self.n_lat, self.n_lon)
+
+    def _scatter(self, proj: np.ndarray) -> np.ndarray:
+        """Flat coefficients from ``(m, l, branch)`` projections."""
+        out = np.zeros(self.n_modes + 1)
+        out[self._gather] = proj.transpose(0, 2, 1)
+        return out[: self.n_modes]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the field with the given flat coefficients."""
-        coeffs = self._check_coeffs(coeffs)
-        c, s = self._pack_profiles(coeffs, self._p)
-        return c.T @ self._cos + s.T @ self._sin
+        prof = self._profiles(coeffs, 1)
+        return self._azimuth_sum(prof[:, :, None, :])[0]
 
     def synthesize_jet(self, coeffs: np.ndarray):
         """Values and first/second coordinate derivatives on the grid.
@@ -163,20 +219,25 @@ class SphereGrid:
         dict with keys ``f, ft, fl, ftt, ftl, fll`` (t = colatitude,
         l = longitude), each of shape ``(n_lat, n_lon)``.
         """
-        coeffs = self._check_coeffs(coeffs)
-        m = np.arange(self.lmax + 1)[:, None]
-        c0, s0 = self._pack_profiles(coeffs, self._p)
-        c1, s1 = self._pack_profiles(coeffs, self._dp)
-        c2, s2 = self._pack_profiles(coeffs, self._d2p)
-        out = {
-            "f": c0.T @ self._cos + s0.T @ self._sin,
-            "ft": c1.T @ self._cos + s1.T @ self._sin,
-            "fl": (m * s0).T @ self._cos - (m * c0).T @ self._sin,
-            "ftt": c2.T @ self._cos + s2.T @ self._sin,
-            "ftl": (m * s1).T @ self._cos - (m * c1).T @ self._sin,
-            "fll": -((m * m * c0).T @ self._cos + (m * m * s0).T @ self._sin),
-        }
-        return out
+        nm, nl = self.lmax + 1, self.n_lat
+        prof = self._profiles(coeffs, 3).reshape(nm, 2, 3, nl)
+        pairs = np.empty((nm, 2, 6, nl))
+        pairs[:, :, :3] = prof
+        pairs[:, :, 3:5] = self._dlon[:, :, None, None] * prof[:, ::-1, :2]
+        pairs[:, :, 5] = -(self._dlon[:, 0, None, None] ** 2) * prof[:, :, 0]
+        f, ft, ftt, fl, ftl, fll = self._azimuth_sum(pairs)
+        return {"f": f, "ft": ft, "fl": fl, "ftt": ftt, "ftl": ftl, "fll": fll}
+
+    def synthesize_gradient(self, coeffs: np.ndarray):
+        """The ``ft`` and ``fl`` fields of ``synthesize_jet`` alone, read
+        from the value and first-derivative tables only."""
+        nm, nl = self.lmax + 1, self.n_lat
+        prof = self._profiles(coeffs, 2).reshape(nm, 2, 2, nl)
+        pairs = np.empty((nm, 2, 2, nl))
+        pairs[:, :, 0] = prof[:, :, 1]
+        pairs[:, :, 1] = self._dlon[:, :, None] * prof[:, ::-1, 0]
+        ft, fl = self._azimuth_sum(pairs)
+        return ft, fl
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Flat coefficient vector of grid values (exact through lmax)."""
@@ -184,39 +245,24 @@ class SphereGrid:
             raise ValueError(
                 f"values shape {values.shape} != {(self.n_lat, self.n_lon)}"
             )
-        fc = (2.0 * np.pi / self.n_lon) * (values @ self._cos.T)  # (n_lat, m)
-        fs = (2.0 * np.pi / self.n_lon) * (values @ self._sin.T)
-        wfc = self.glweights[:, None] * fc
-        wfs = self.glweights[:, None] * fs
-        return self._project(self._p, wfc, wfs)
+        nm, nl = self.lmax + 1, self.n_lat
+        wts = self.quad_weights[:, :1] * (values @ self._azimuth.T)
+        proj = self._table[:, :, :nl] @ wts.reshape(nl, nm, 2).transpose(1, 0, 2)
+        return self._scatter(proj)
 
     def gradient_transpose(self, flux_t: np.ndarray,
                            flux_l: np.ndarray) -> np.ndarray:
-        """Exact transpose of the ``ft`` and ``fl`` outputs of
-        ``synthesize_jet``: the coefficient vector ``g`` with
+        """Exact transpose of ``synthesize_gradient`` (the ``ft`` and ``fl``
+        outputs of ``synthesize_jet``): the coefficient vector ``g`` with
         ``g @ c == sum(flux_t * ft + flux_l * fl)`` for every ``c``, where
-        ``ft, fl`` are the jet of ``c``.  No quadrature weights are applied;
-        fold them into the fluxes."""
-        m = np.arange(self.lmax + 1)
-        dt = self._project(self._dp, flux_t @ self._cos.T, flux_t @ self._sin.T)
-        # fl of c is sum_m m (s0 cos - c0 sin) over the value profiles
-        dl = self._project(self._p, -m * (flux_l @ self._sin.T),
-                           m * (flux_l @ self._cos.T))
-        return dt + dl
-
-    def _project(self, table: np.ndarray, wc: np.ndarray,
-                 ws: np.ndarray) -> np.ndarray:
-        """Flat coefficients from per-order colatitude profiles: column
-        ``m`` of ``wc`` (cosine branch) and ``ws`` (sine branch), each of
-        shape ``(n_lat, lmax + 1)``, tested against ``table[l, m]``."""
-        coeffs = np.zeros(self.n_modes)
-        for m in range(0, self.lmax + 1):
-            ls = np.arange(m, self.lmax + 1)
-            proj = table[m:, m, :] @ wc[:, m]
-            coeffs[ls * ls + ls + m] = self._azf[m] * proj
-            if m > 0:
-                coeffs[ls * ls + ls - m] = self._azf[m] * (table[m:, m, :] @ ws[:, m])
-        return coeffs
+        ``ft, fl`` are the gradient of ``c``.  No quadrature weights are
+        applied; fold them into the fluxes."""
+        nm, nl = self.lmax + 1, self.n_lat
+        fluxes = (np.concatenate([flux_t, flux_l]) @ self._azimuth.T).reshape(2, nl, nm, 2)
+        # value block tested against the transposed d/dlon, then d/dtheta
+        weights = np.concatenate([-self._dlon * fluxes[1, :, :, ::-1], fluxes[0]])
+        proj = self._table[:, :, : 2 * nl] @ weights.transpose(1, 0, 2)
+        return self._scatter(proj)
 
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature of grid values against the round area element."""
@@ -244,20 +290,18 @@ class SphereGrid:
             if cached is not None:
                 return cached
             mat = np.zeros((n_nodes, self.n_modes))
+            nl = self.n_lat
+            block = nl if kind == "dtheta" else 0
             for m in range(0, self.lmax + 1):
-                ls = np.arange(m, self.lmax + 1)
-                colat = self._dp[m:, m, :] if kind == "dtheta" else self._p[m:, m, :]
+                colat = self._table[m, m:, block: block + nl]
+                az_c, az_s = self._azimuth[2 * m], self._azimuth[2 * m + 1]
                 if kind == "dlon":
-                    az_c = -m * self._sin[m]
-                    az_s = m * self._cos[m]
-                else:
-                    az_c = self._cos[m]
-                    az_s = self._sin[m]
-                block = self._azf[m] * colat[:, :, None] * az_c[None, None, :]
-                mat[:, ls * ls + ls + m] = block.reshape(ls.size, -1).T
-                if m > 0:
-                    block = self._azf[m] * colat[:, :, None] * az_s[None, None, :]
-                    mat[:, ls * ls + ls - m] = block.reshape(ls.size, -1).T
+                    az_c, az_s = -m * az_s, m * az_c
+                for branch, az in enumerate((az_c, az_s)):
+                    cols = self._gather[m, branch, m:]
+                    if cols[0] < self.n_modes:
+                        values = colat[:, :, None] * az[None, None, :]
+                        mat[:, cols] = values.reshape(cols.size, -1).T
             self._basis_cache[kind] = mat
             return mat
 
@@ -357,10 +401,7 @@ class HarmonicField:
 
     def degree_energies(self) -> np.ndarray:
         """Sum of squared coefficients per degree (unit-sphere L^2)."""
-        e = np.zeros(self.lmax + 1)
-        for l in range(self.lmax + 1):
-            e[l] = float(np.sum(self.coeffs[l * l : (l + 1) ** 2] ** 2))
-        return e
+        return np.add.reduceat(self.coeffs**2, np.arange(self.lmax + 1) ** 2)
 
     def mean(self) -> float:
         """Mean over the unit sphere."""
@@ -421,10 +462,9 @@ def laplacian_unit(field: HarmonicField) -> HarmonicField:
 
     On a round slice of radius u the Laplacian is this divided by u^2.
     """
-    c = field.coeffs.copy()
-    for l in range(field.lmax + 1):
-        c[l * l : (l + 1) ** 2] *= -l * (l + 1.0)
-    return HarmonicField(c, field.grid)
+    ll = np.arange(field.lmax + 1)
+    return HarmonicField(field.coeffs * np.repeat(-ll * (ll + 1.0), 2 * ll + 1),
+                         field.grid)
 
 
 def gradient_norm_sq_integral(field: HarmonicField) -> float:

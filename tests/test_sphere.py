@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkmass import (
     HarmonicField,
+    SweepConfig,
     analyze,
     coeff_index,
     get_grid,
     gradient_norm_sq_integral,
     laplacian_unit,
+    perturbation_sweep,
     sobolev_norms,
     synthesize,
 )
+from hawkmass.sphere import SphereGrid
 
 AMP_10 = np.sqrt(3.0 / (4.0 * np.pi))   # degree-1 zonal amplitude
 
@@ -57,6 +62,83 @@ def test_analyze_synthesize_round_trip():
     field = random_field(12, seed=3)
     back = analyze(field.grid, synthesize(field))
     assert_allclose(back.coeffs, field.coeffs, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("lmax", [40, 80])
+def test_round_trip_degree_one_large_band_limit(lmax):
+    """The Newton-polished Gauss-Legendre rule integrates products of
+    harmonics to roundoff, so Y_10 comes back to a few ulps at every
+    degree (leggauss nodes left 3.8e-14 at lmax 40 and 1.9e-14 at 80)."""
+    field = HarmonicField.single(1, 0, 1.0, grid=get_grid(lmax))
+    back = analyze(field.grid, synthesize(field))
+    assert np.max(np.abs(back.coeffs - field.padded(lmax))) <= 5e-15
+
+
+def per_order_jet(grid, coeffs):
+    """Reference jet summed order by order from the grid's Legendre table
+    (value, d/dtheta, d2/dtheta2 blocks with the azimuth factor folded in)."""
+    nl = grid.n_lat
+    jet = dict.fromkeys(("f", "ft", "fl", "ftt", "ftl", "fll"), 0.0)
+    for m in range(grid.lmax + 1):
+        ls = np.arange(m, grid.lmax + 1)
+        tables = [grid._table[m, m:, k * nl:(k + 1) * nl] for k in range(3)]
+        c0, c1, c2 = (coeffs[ls * ls + ls + m] @ t for t in tables)
+        if m > 0:
+            s0, s1, s2 = (coeffs[ls * ls + ls - m] @ t for t in tables)
+        else:
+            s0 = s1 = s2 = np.zeros(nl)
+        cos = np.cos(m * grid.lon)[None, :]
+        sin = np.sin(m * grid.lon)[None, :]
+
+        def az(a, b):
+            return a[:, None] * cos + b[:, None] * sin
+
+        jet["f"] += az(c0, s0)
+        jet["ft"] += az(c1, s1)
+        jet["ftt"] += az(c2, s2)
+        jet["fl"] += m * az(s0, -c0)
+        jet["ftl"] += m * az(s1, -c1)
+        jet["fll"] -= m * m * az(c0, s0)
+    return jet
+
+
+def assert_rel_close(actual, reference, rtol):
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(actual - reference)) <= rtol * scale
+
+
+@settings(max_examples=12, deadline=None)
+@given(lmax=st.sampled_from([1, 2, 5, 16, 33]), seed=st.integers(0, 2**32 - 1))
+def test_jet_matches_dense_and_per_order_references(lmax, seed):
+    """The batched jet against the dense basis matrices (f, ft, fl) and the
+    order-by-order sums (all six fields); the gradient-only synthesis
+    against the jet's ft and fl."""
+    grid = SphereGrid(lmax)   # private: its dense basis cache dies with it
+    coeffs = np.random.default_rng(seed).standard_normal(grid.n_modes)
+    jet = grid.synthesize_jet(coeffs)
+    shape = (grid.n_lat, grid.n_lon)
+    for key, kind in (("f", "value"), ("ft", "dtheta"), ("fl", "dlon")):
+        dense = (grid.basis_matrix(kind) @ coeffs).reshape(shape)
+        assert_rel_close(jet[key], dense, 1e-13)
+    ref = per_order_jet(grid, coeffs)
+    for key in ref:
+        assert_rel_close(jet[key], ref[key], 1e-13)
+    ft, fl = grid.synthesize_gradient(coeffs)
+    assert_rel_close(ft, jet["ft"], 1e-14)
+    assert_rel_close(fl, jet["fl"], 1e-14)
+
+
+@pytest.mark.parametrize("lmax", [1, 2, 5, 16, 33])
+def test_gradient_transpose_is_adjoint_of_gradient(lmax):
+    """g @ c == sum(flux_t * ft + flux_l * fl) for the gradient of c."""
+    grid = get_grid(lmax)
+    rng = np.random.default_rng(lmax)
+    coeffs = rng.standard_normal(grid.n_modes)
+    flux_t, flux_l = rng.standard_normal((2, grid.n_lat, grid.n_lon))
+    ft, fl = grid.synthesize_gradient(coeffs)
+    terms = flux_t * ft + flux_l * fl
+    lhs = grid.gradient_transpose(flux_t, flux_l) @ coeffs
+    assert abs(lhs - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
 
 def test_synthesis_matches_scipy_harmonics():
@@ -153,6 +235,22 @@ def test_jet_degree_one_sectoral():
     assert_allclose(jet["ftt"], -AMP_10 * st * cl, atol=1e-14)
 
 
+def test_sweep_records_pinned_at_minimal_slice():
+    """Three criterion-10 records at base_r 0 against the values the
+    per-order transforms on leggauss nodes gave: the batched transforms and
+    the polished nodes move them by roundoff only."""
+    cfg = SweepConfig(a=0.5, base_r=0.0, epsilon=1e-2, n_samples=3,
+                      master_seed=42)
+    pinned = [
+        (-1.638225794432714e-08, 0.0018597961533396534, 0.0017734898602583507),
+        (-1.1865825159345533e-07, 0.006412614806131495, 0.004803013153009192),
+        (-3.458630260821639e-08, 0.0038576399887848153, 0.002579009592261972),
+    ]
+    records = perturbation_sweep(cfg).records
+    got = [(r.deficit, r.c2_norm, r.w22_norm) for r in records]
+    assert_allclose(got, pinned, rtol=1e-14, atol=0)
+
+
 def test_field_mean_and_removal():
     field = HarmonicField(np.array([2.0, 0.5, -1.0, 0.25]))
     assert field.mean() == pytest.approx(2.0 / np.sqrt(4.0 * np.pi), rel=1e-15)
@@ -164,6 +262,9 @@ def test_field_mean_and_removal():
 def test_degree_energies():
     field = HarmonicField(np.array([1.0, 1.0, 2.0, -2.0]))
     assert_allclose(field.degree_energies(), [1.0, 9.0], rtol=0, atol=0)
+    field = random_field(7, seed=8)
+    per_degree = [np.sum(field.coeffs[l * l:(l + 1) ** 2] ** 2) for l in range(8)]
+    assert_allclose(field.degree_energies(), per_degree, rtol=1e-15, atol=0)
 
 
 def test_padded_rejects_truncation():
