@@ -22,6 +22,10 @@ A field of coefficients ``c`` has unit-sphere integrals
 and the same field read on a round slice of radius ``u`` scales these by
 ``u^2``, ``1`` and ``u^-2`` respectively.
 
+A ``HarmonicField`` is its coefficients alone.  The grid is passed where
+a transform runs, and ``synthesize`` refuses a field whose band limit is
+above the grid's.
+
 Transform layout
 ----------------
 Each grid gathers the flat coefficients into a zero-padded
@@ -40,7 +44,6 @@ Newton-polished Gauss-Legendre nodes.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +154,6 @@ class SphereGrid:
         self.x = x
         self.theta = np.arccos(x)
         self.sin_theta = np.sqrt(1.0 - x * x)
-        self.glweights = w
         self.n_lat = lmax + 1
         self.n_lon = 2 * lmax + 1
         self.lon = 2.0 * np.pi * np.arange(self.n_lon) / self.n_lon
@@ -180,7 +182,6 @@ class SphereGrid:
         self._gather = np.where(pad, self.n_modes, l * l + l + sign * ms)
         # d/dlon of c cos(m lon) + s sin(m lon) has branches (m s, -m c)
         self._dlon = m[:, None] * np.array([1.0, -1.0])
-        self._lock = threading.Lock()
         self._basis_cache: dict[str, np.ndarray] = {}
 
     # -- transforms: one batched matmul over the orders m ----------------
@@ -264,10 +265,6 @@ class SphereGrid:
         proj = self._table[:, :, : 2 * nl] @ weights.transpose(1, 0, 2)
         return self._scatter(proj)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Quadrature of grid values against the round area element."""
-        return float(np.sum(self.quad_weights * values))
-
     # -- dense mode matrices (small lmax only) --------------------------
 
     def basis_matrix(self, kind: str = "value") -> np.ndarray:
@@ -285,25 +282,24 @@ class SphereGrid:
                 f"dense basis for lmax={self.lmax} would need "
                 f"{n_nodes * self.n_modes:.2e} entries; keep lmax <= 40"
             )
-        with self._lock:
-            cached = self._basis_cache.get(kind)
-            if cached is not None:
-                return cached
-            mat = np.zeros((n_nodes, self.n_modes))
-            nl = self.n_lat
-            block = nl if kind == "dtheta" else 0
-            for m in range(0, self.lmax + 1):
-                colat = self._table[m, m:, block: block + nl]
-                az_c, az_s = self._azimuth[2 * m], self._azimuth[2 * m + 1]
-                if kind == "dlon":
-                    az_c, az_s = -m * az_s, m * az_c
-                for branch, az in enumerate((az_c, az_s)):
-                    cols = self._gather[m, branch, m:]
-                    if cols[0] < self.n_modes:
-                        values = colat[:, :, None] * az[None, None, :]
-                        mat[:, cols] = values.reshape(cols.size, -1).T
-            self._basis_cache[kind] = mat
-            return mat
+        cached = self._basis_cache.get(kind)
+        if cached is not None:
+            return cached
+        mat = np.zeros((n_nodes, self.n_modes))
+        nl = self.n_lat
+        block = nl if kind == "dtheta" else 0
+        for m in range(0, self.lmax + 1):
+            colat = self._table[m, m:, block: block + nl]
+            az_c, az_s = self._azimuth[2 * m], self._azimuth[2 * m + 1]
+            if kind == "dlon":
+                az_c, az_s = -m * az_s, m * az_c
+            for branch, az in enumerate((az_c, az_s)):
+                cols = self._gather[m, branch, m:]
+                if cols[0] < self.n_modes:
+                    values = colat[:, :, None] * az[None, None, :]
+                    mat[:, cols] = values.reshape(cols.size, -1).T
+        self._basis_cache[kind] = mat
+        return mat
 
     def _check_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -319,17 +315,15 @@ class SphereGrid:
 
 
 _GRID_CACHE: dict[int, SphereGrid] = {}
-_GRID_LOCK = threading.Lock()
 
 
 def get_grid(lmax: int) -> SphereGrid:
     """Shared grid instance for a band limit (built once, reused)."""
-    with _GRID_LOCK:
-        grid = _GRID_CACHE.get(lmax)
-        if grid is None:
-            grid = SphereGrid(lmax)
-            _GRID_CACHE[lmax] = grid
-        return grid
+    grid = _GRID_CACHE.get(lmax)
+    if grid is None:
+        grid = SphereGrid(lmax)
+        _GRID_CACHE[lmax] = grid
+    return grid
 
 
 @dataclass
@@ -352,16 +346,15 @@ class SobolevNorms:
 class HarmonicField:
     """A real band-limited field stored by harmonic coefficients.
 
+    It carries no grid: each transform takes the grid it runs on.
+
     Parameters
     ----------
     coeffs : array, shape ((lmax+1)**2,)
         Flat real coefficients, index ``l**2 + l + m``.
-    grid : SphereGrid, optional
-        Grid used for synthesis; defaults to the shared grid of the
-        matching band limit.
     """
 
-    def __init__(self, coeffs, grid: SphereGrid | None = None):
+    def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         n = coeffs.size
         lmax = int(round(np.sqrt(n))) - 1
@@ -369,22 +362,18 @@ class HarmonicField:
             raise ValueError(f"coefficient length {n} is not a perfect square")
         self.lmax = lmax
         self.coeffs = coeffs
-        self.grid = grid if grid is not None else get_grid(max(lmax, 1))
-        if self.grid.lmax < lmax:
-            raise ValueError("grid band limit below field band limit")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zeros(cls, lmax: int, grid: SphereGrid | None = None) -> "HarmonicField":
-        return cls(np.zeros((lmax + 1) ** 2), grid)
+    def zeros(cls, lmax: int) -> "HarmonicField":
+        return cls(np.zeros((lmax + 1) ** 2))
 
     @classmethod
-    def single(cls, l: int, m: int, value: float = 1.0,
-               grid: SphereGrid | None = None) -> "HarmonicField":
+    def single(cls, l: int, m: int, value: float = 1.0) -> "HarmonicField":
         c = np.zeros((l + 1) ** 2)
         c[coeff_index(l, m)] = value
-        return cls(c, grid)
+        return cls(c)
 
     # -- algebra --------------------------------------------------------
 
@@ -410,13 +399,10 @@ class HarmonicField:
     def remove_mean(self) -> "HarmonicField":
         c = self.coeffs.copy()
         c[0] = 0.0
-        return HarmonicField(c, self.grid)
+        return HarmonicField(c)
 
     def scaled(self, factor: float) -> "HarmonicField":
-        return HarmonicField(self.coeffs * float(factor), self.grid)
-
-    def values(self) -> np.ndarray:
-        return self.grid.synthesize(self.padded(self.grid.lmax))
+        return HarmonicField(self.coeffs * float(factor))
 
     # -- serialization ----------------------------------------------------
 
@@ -430,13 +416,13 @@ class HarmonicField:
         return json.dumps({"lmax": self.lmax, "coeffs": entries})
 
     @classmethod
-    def from_json(cls, text: str, grid: SphereGrid | None = None) -> "HarmonicField":
+    def from_json(cls, text: str) -> "HarmonicField":
         data = json.loads(text)
         lmax = int(data["lmax"])
         c = np.zeros((lmax + 1) ** 2)
         for l, m, v in data["coeffs"]:
             c[coeff_index(int(l), int(m))] = float(v)
-        return cls(c, grid)
+        return cls(c)
 
     def __repr__(self):  # pragma: no cover
         nz = int(np.count_nonzero(self.coeffs))
@@ -448,12 +434,14 @@ class HarmonicField:
 
 def analyze(grid: SphereGrid, values: np.ndarray) -> HarmonicField:
     """Project grid values onto harmonics up to the grid band limit."""
-    return HarmonicField(grid.analyze(values), grid)
+    return HarmonicField(grid.analyze(values))
 
 
-def synthesize(field: HarmonicField, grid: SphereGrid | None = None) -> np.ndarray:
-    """Evaluate a field on a grid (defaults to the field's own)."""
-    grid = grid if grid is not None else field.grid
+def synthesize(field: HarmonicField, grid: SphereGrid) -> np.ndarray:
+    """Evaluate a field on a grid whose band limit is at least the field's."""
+    if field.lmax > grid.lmax:
+        raise ValueError(f"field band limit {field.lmax} above grid band "
+                         f"limit {grid.lmax}")
     return grid.synthesize(field.padded(grid.lmax))
 
 
@@ -463,8 +451,7 @@ def laplacian_unit(field: HarmonicField) -> HarmonicField:
     On a round slice of radius u the Laplacian is this divided by u^2.
     """
     ll = np.arange(field.lmax + 1)
-    return HarmonicField(field.coeffs * np.repeat(-ll * (ll + 1.0), 2 * ll + 1),
-                         field.grid)
+    return HarmonicField(field.coeffs * np.repeat(-ll * (ll + 1.0), 2 * ll + 1))
 
 
 def gradient_norm_sq_integral(field: HarmonicField) -> float:
@@ -485,6 +472,16 @@ def sobolev_norms(field: HarmonicField, u: float = 1.0) -> SobolevNorms:
     grid maxima of the field, its slice gradient norm and its slice
     covariant Hessian norm.
     """
+    # oversampled grid: the C^k numbers are sup estimates, and the
+    # field's own band-limit grid is too coarse near the poles
+    grid = get_grid(max(2 * field.lmax, 16))
+    jet = grid.synthesize_jet(field.padded(grid.lmax))
+    return _sobolev_norms(field, u, grid, jet)
+
+
+def _sobolev_norms(field: HarmonicField, u: float, grid: SphereGrid,
+                   jet: dict) -> SobolevNorms:
+    """``sobolev_norms`` with the field's jet on ``grid`` already made."""
     if u <= 0.0:
         raise ValueError("slice radius u must be positive")
     e = field.degree_energies()
@@ -497,10 +494,6 @@ def sobolev_norms(field: HarmonicField, u: float = 1.0) -> SobolevNorms:
     w12_sq = l2_sq + s1
     w22_sq = w12_sq + s2 / (u * u)
 
-    # oversampled grid: the C^k numbers are sup estimates, and the
-    # field's own band-limit grid is too coarse near the poles
-    grid = get_grid(max(2 * field.lmax, 16))
-    jet = grid.synthesize_jet(field.padded(grid.lmax))
     st = grid.sin_theta[:, None]
     c0 = float(np.max(np.abs(jet["f"])))
     grad_sq = jet["ft"] ** 2 + (jet["fl"] / st) ** 2

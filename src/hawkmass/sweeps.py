@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, RangeError
-from .graph import GraphSurface, hawking_mass_deficit
-from .sphere import HarmonicField, sobolev_norms
+from .graph import GraphSurface, _jet_mass_deficit
+from .sphere import (HarmonicField, SphereGrid, _sobolev_norms, get_grid,
+                     sobolev_norms)
 from .warp import WarpFactor, _brent, slice_geometry, slice_mass_derivative
 from .variation import (
     jacobi_spectrum,
@@ -223,37 +224,36 @@ def draw_perturbation(rng: np.random.Generator, lmax: int, epsilon: float,
     """Draw one random perturbation field.
 
     Coefficients for degrees 1..lmax//2 are standard normal damped by
-    l^{-2}, mean-removed, then rescaled so the C^2 estimate equals a
-    uniform draw in (0, epsilon].  The call order (normals for all
-    coefficients, then one uniform) is part of the determinism contract.
+    l^{-2}, then rescaled so the C^2 estimate equals a uniform draw in
+    (0, epsilon].  The degree-0 coefficient is never drawn, so the field
+    is mean-free.  The call order (normals for all coefficients, then one
+    uniform) is part of the determinism contract.
     """
     deg_max = max(1, lmax // 2)
-    n_modes = (deg_max + 1) ** 2
-    coeffs = np.zeros(n_modes)
-    raw = rng.standard_normal(n_modes - 1)
-    pos = 1
-    for l in range(1, deg_max + 1):
-        width = 2 * l + 1
-        coeffs[l * l: l * l + width] = raw[pos - 1: pos - 1 + width] / (l * l)
-        pos += width
+    ll = np.arange(1, deg_max + 1)
+    coeffs = np.zeros((deg_max + 1) ** 2)
+    raw = rng.standard_normal(coeffs.size - 1)
+    coeffs[1:] = raw / np.repeat(ll * ll, 2 * ll + 1)
     target = epsilon * (1.0 - rng.uniform())
-    phi = HarmonicField(coeffs).remove_mean()
+    phi = HarmonicField(coeffs)
     norms = sobolev_norms(phi, u_base)
     scale = target / norms.c2_bound
     return phi.scaled(scale), target, scale
 
 
 def _run_sample(cfg: SweepConfig, w: WarpFactor, c_est: float,
-                grid_lmax: int, index: int) -> SweepRecord:
+                grid: SphereGrid, index: int) -> SweepRecord:
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, index]))
     u_base = float(w.taylor_patch(cfg.base_r).coeff_u[0])
     phi, target, _ = draw_perturbation(rng, cfg.lmax, cfg.epsilon, u_base)
-    norms = sobolev_norms(phi, u_base)
+    # one jet of the drawn phi on the geometry grid, which is also the grid
+    # sobolev_norms picks, serves both the norms and the deficit
+    jet = grid.synthesize_jet(phi.padded(grid.lmax))
+    norms = _sobolev_norms(phi, u_base, grid, jet)
     slice_tol = cfg.tolerances.get("slice_norm", _SLICE_NORM_TOL)
     slack = cfg.tolerances.get("ratio_slack", 0.1)
-    deficit = hawking_mass_deficit(w, cfg.base_r, phi, 1.0,
-                                   grid_lmax=grid_lmax)
+    deficit = _jet_mass_deficit(w, float(cfg.base_r), jet, 1.0, grid)
     if norms.c2_bound < slice_tol:
         return SweepRecord(index=index, seed=cfg.master_seed,
                            c2_norm=norms.c2_bound, w22_norm=norms.w22,
@@ -286,10 +286,10 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
         raise RangeError(
             f"epsilon {cfg.epsilon:g} exceeds the reach {patch.reach():.3g} "
             f"of the base-slice expansion at base_r {cfg.base_r:g}")
-    deg_max = max(1, cfg.lmax // 2)
-    grid_lmax = max(2 * deg_max, 16)
+    # the geometry grid of every drawn phi, whose band limit is lmax // 2
+    grid = get_grid(max(2 * max(1, cfg.lmax // 2), 16))
     c_est = quadratic_form_report(w, cfg.base_r, cfg.lmax).c_est
-    records = [_run_sample(cfg, w, c_est, grid_lmax, i)
+    records = [_run_sample(cfg, w, c_est, grid, i)
                for i in range(cfg.n_samples)]
     return SweepReport(config=cfg, records=records, c_est=c_est)
 

@@ -62,9 +62,6 @@ class JacobiSpectrum:
         """Smallest eigenvalue; its eigenfunctions are the constants."""
         return float(self.lambda_by_degree[0])
 
-    def multiplicity(self, l: int) -> int:
-        return 2 * l + 1
-
 
 def jacobi_spectrum(w: WarpFactor, r: float, lmax: int) -> JacobiSpectrum:
     """Eigenvalues lambda_l of the stability operator on the slice at r.

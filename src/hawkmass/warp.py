@@ -245,12 +245,6 @@ class SliceGeometry:
     ricci_normal: float
     hawking_mass: float
 
-    @property
-    def jacobi_potential(self) -> float:
-        """Ric(nu, nu) + |A|^2, the zeroth-order term of the stability
-        operator."""
-        return self.ricci_normal + self.shape_operator_sq
-
 
 class WarpFactor:
     """Solved warp factor: the Taylor stepper's nodes and their expansions.

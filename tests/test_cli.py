@@ -176,6 +176,27 @@ def test_cli_runs_without_scipy(command, y1_file, tmp_path):
     assert proc.stdout.strip()
 
 
+_GRID_CACHE_AFTER = """
+import sys
+from hawkmass import sphere
+from hawkmass.cli import main
+code = main(sys.argv[1:])
+print(sorted(sphere._GRID_CACHE), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_sweep_builds_only_its_geometry_grid(tmp_path):
+    """A field carries no grid, so a --lmax 16 sweep in a fresh
+    interpreter builds the band-limit-16 geometry grid and no other."""
+    args = ["sweep", "perturb", "--a", "0.5", "--n", "4", "--lmax", "16",
+            "--out", str(tmp_path / "sweep.csv")]
+    proc = subprocess.run([sys.executable, "-c", _GRID_CACHE_AFTER, *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "[16]"
+
+
 def test_usage_error_missing_subcommand():
     code, _, err = run_cli("metric")
     assert code == 2

@@ -60,7 +60,8 @@ def test_basis_orthonormality():
 
 def test_analyze_synthesize_round_trip():
     field = random_field(12, seed=3)
-    back = analyze(field.grid, synthesize(field))
+    grid = get_grid(12)
+    back = analyze(grid, synthesize(field, grid))
     assert_allclose(back.coeffs, field.coeffs, rtol=0, atol=1e-13)
 
 
@@ -69,8 +70,9 @@ def test_round_trip_degree_one_large_band_limit(lmax):
     """The Newton-polished Gauss-Legendre rule integrates products of
     harmonics to roundoff, so Y_10 comes back to a few ulps at every
     degree (leggauss nodes left 3.8e-14 at lmax 40 and 1.9e-14 at 80)."""
-    field = HarmonicField.single(1, 0, 1.0, grid=get_grid(lmax))
-    back = analyze(field.grid, synthesize(field))
+    field = HarmonicField.single(1, 0, 1.0)
+    grid = get_grid(lmax)
+    back = analyze(grid, synthesize(field, grid))
     assert np.max(np.abs(back.coeffs - field.padded(lmax))) <= 5e-15
 
 
@@ -150,7 +152,7 @@ def test_synthesis_matches_scipy_harmonics():
     lam = np.ones((grid.n_lat, 1)) * (2.0 * np.pi *
                                       np.arange(grid.n_lon) / grid.n_lon)[None, :]
     for l, m in [(0, 0), (1, 0), (2, 1), (3, -2), (4, 4), (5, -5)]:
-        ours = synthesize(HarmonicField.single(l, m, 1.0, grid=grid), grid)
+        ours = synthesize(HarmonicField.single(l, m, 1.0), grid)
         y = sph_harm_y(l, abs(m), theta, lam)
         if m == 0:
             ref = np.real(y)
@@ -163,8 +165,9 @@ def test_synthesis_matches_scipy_harmonics():
 
 def test_parseval():
     field = random_field(9, seed=11)
-    f = synthesize(field)
-    quad = float(np.sum(field.grid.quad_weights * f * f))
+    grid = get_grid(9)
+    f = synthesize(field, grid)
+    quad = float(np.sum(grid.quad_weights * f * f))
     assert_allclose(quad, float(np.sum(field.coeffs ** 2)), rtol=1e-13)
 
 
@@ -179,7 +182,7 @@ def test_gradient_integral_closed_form():
 
 def test_gradient_integral_matches_quadrature():
     field = random_field(7, seed=13)
-    grid = field.grid
+    grid = get_grid(7)
     jet = grid.synthesize_jet(field.coeffs)
     grad_sq = jet["ft"] ** 2 + (jet["fl"] / grid.sin_theta[:, None]) ** 2
     quad = float(np.sum(grid.quad_weights * grad_sq))
@@ -315,6 +318,8 @@ def test_field_requires_full_degree_blocks():
 
 
 def test_grid_band_limit_guard():
+    """An lmax-6 field does not synthesize on an lmax-4 grid, even when
+    its coefficients are all zero."""
     grid = get_grid(4)
     with pytest.raises(ValueError):
-        HarmonicField(np.zeros(49), grid=grid)   # lmax 6 field on lmax 4 grid
+        synthesize(HarmonicField(np.zeros(49)), grid)

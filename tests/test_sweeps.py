@@ -12,12 +12,14 @@ from hawkmass import (
     HarmonicField,
     InvariantViolation,
     RangeError,
+    SphereGrid,
     SweepConfig,
     build_graph,
     convergence_study,
     critical_point_classifier,
     draw_perturbation,
     foliation_scan,
+    hawking_mass_deficit,
     perturbation_sweep,
     sobolev_norms,
     solve_warp_factor,
@@ -75,6 +77,73 @@ def test_draw_hits_c2_target():
     assert norms.c2_bound == pytest.approx(target, rel=1e-12)
     assert phi.mean() == 0.0
     assert phi.lmax == 8
+
+
+def _draw_loop_reference(rng, lmax):
+    """Unscaled coefficients and the uniform of one draw, filled degree by
+    degree."""
+    deg_max = max(1, lmax // 2)
+    n_modes = (deg_max + 1) ** 2
+    coeffs = np.zeros(n_modes)
+    raw = rng.standard_normal(n_modes - 1)
+    pos = 1
+    for l in range(1, deg_max + 1):
+        width = 2 * l + 1
+        coeffs[l * l: l * l + width] = raw[pos - 1: pos - 1 + width] / (l * l)
+        pos += width
+    return coeffs, rng.uniform()
+
+
+@pytest.mark.parametrize("lmax", [2, 3, 8, 16, 33])
+@pytest.mark.parametrize("seed", [0, 42, 1206])
+def test_draw_matches_degree_loop_bitwise(lmax, seed):
+    """Dividing by one per-coefficient l^2 vector draws the bits of the
+    per-degree fill and leaves the generator in the same state."""
+    ref_rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+    coeffs, uniform = _draw_loop_reference(ref_rng, lmax)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+    phi, target, scale = draw_perturbation(rng, lmax, 1e-2, 0.5)
+    assert target == 1e-2 * (1.0 - uniform)
+    assert np.array_equal(phi.coeffs, coeffs * scale)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_sweep_sample_synthesizes_two_jets(monkeypatch):
+    """Per sample, one jet of the unscaled draw for its C^2 rescale and one
+    of the scaled field, shared by its norms and its deficit."""
+    grids = []
+    jet = SphereGrid.synthesize_jet
+
+    def counted(self, coeffs):
+        grids.append(self.lmax)
+        return jet(self, coeffs)
+
+    monkeypatch.setattr(SphereGrid, "synthesize_jet", counted)
+    counts = {}
+    for n in (1, 4):
+        grids.clear()
+        perturbation_sweep(small_config(base_r=0.4, n_samples=n))
+        counts[n] = len(grids)
+    assert counts[4] - counts[1] == 3 * 2
+    assert set(grids) == {16}
+
+
+@pytest.mark.parametrize("base_r", [0.0, 0.4])
+def test_sample_norms_and_deficit_match_public_route(base_r):
+    """A record's c2_norm, w22_norm and deficit are bitwise those of the
+    public sobolev_norms and hawking_mass_deficit on its scaled phi."""
+    cfg = small_config(base_r=base_r, n_samples=6)
+    records = perturbation_sweep(cfg).records
+    w = sweeps.solve_for_config(cfg)
+    u_base = float(w.taylor_patch(base_r).coeff_u[0])
+    for rec in records:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.master_seed, rec.index]))
+        phi, _, _ = draw_perturbation(rng, cfg.lmax, cfg.epsilon, u_base)
+        norms = sobolev_norms(phi, u_base)
+        assert rec.c2_norm == norms.c2_bound
+        assert rec.w22_norm == norms.w22
+        assert rec.deficit == hawking_mass_deficit(w, base_r, phi)
 
 
 def test_sweep_negativity_and_ratio(w05):

@@ -44,7 +44,6 @@ def test_spectrum_minimal_slice(w05):
     assert_allclose(spec.lambda_by_degree, [3.0, 11.0, 27.0, 51.0],
                     rtol=0, atol=1e-12)
     assert spec.first_eigenvalue == 3.0
-    assert spec.multiplicity(2) == 5
 
 
 def test_spectrum_formula_any_slice(w05):
