@@ -11,10 +11,9 @@ print(f"profile a=0.5: conserved mass {w.mass:.15f}, period {w.period:.12f}")
 print()
 
 print("r      u(r)      H(r)        m_H(slice)         m_H - mass")
-for r in np.linspace(0.0, w.period / 2, 7):
-    g = slice_geometry(w, r)
-    print(f"{r:.3f}  {g.u:.6f}  {g.mean_curvature:+.6f}  "
-          f"{g.hawking_mass:.15f}  {g.hawking_mass - w.mass:+.2e}")
+g = slice_geometry(w, np.linspace(0.0, w.period / 2, 7))
+for r, u, h, m in zip(g.r, g.u, g.mean_curvature, g.hawking_mass):
+    print(f"{r:.3f}  {u:.6f}  {h:+.6f}  {m:.15f}  {m - w.mass:+.2e}")
 
 print()
 scan = foliation_scan(w, np.linspace(0.0, w.period / 2, 65))

@@ -357,51 +357,42 @@ def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise ValueError("r_grid must be a 1-d grid with at least 2 points")
-    period = w.period
-    masses = np.empty(r.size)
-    hs = np.empty(r.size)
-    margins = np.empty(r.size)
-    dmass = np.empty(r.size)
-    for i, ri in enumerate(r):
-        geo = slice_geometry(w, float(ri))
-        masses[i] = geo.hawking_mass
-        hs[i] = geo.mean_curvature
-        margins[i] = weak_stability_margin(w, float(ri))
-        dmass[i] = abs(slice_mass_derivative(w, float(ri)))
+    geo = slice_geometry(w, r)
+    hs = geo.mean_curvature
+    margins = weak_stability_margin(w, r)
     # strict sign on the open half-periods, skipping the extremal slices
-    edge = 1.0e-6
     sign_ok = True
+    period = w.period
     if period is not None:
-        for ri, hi in zip(r, hs):
-            s = float(ri) % period
-            if edge < s < period / 2.0 - edge and not hi < 0.0:
-                sign_ok = False
-            if period / 2.0 + edge < s < period - edge and not hi > 0.0:
-                sign_ok = False
+        edge = 1.0e-6
+        s = r % period
+        first = (edge < s) & (s < period / 2.0 - edge)
+        second = (period / 2.0 + edge < s) & (s < period - edge)
+        sign_ok = not (np.any(first & ~(hs < 0.0))
+                       or np.any(second & ~(hs > 0.0)))
     # the profile varies on the length scale a near the neck, so the
     # stencil step follows a; a fixed step loses accuracy as a shrinks
     h_step = 1.0e-2 * w.a
-    h2, h1, hm1, hm2 = (slice_geometry(w, k * h_step).mean_curvature
-                        for k in (2, 1, -1, -2))
+    h2, h1, hm1, hm2 = slice_geometry(
+        w, h_step * np.array([2.0, 1.0, -1.0, -2.0])).mean_curvature
     dh = (-h2 + 8.0 * h1 - 8.0 * hm1 + hm2) / (12.0 * h_step)
-    lam0 = float(jacobi_spectrum(w, 0.0, 0).lambda_by_degree[0])
     flip = None
-    for i in range(r.size - 1):
-        if margins[i] > 0.0 >= margins[i + 1]:
-            flip = _brent(lambda x: weak_stability_margin(w, x),
-                          r[i], r[i + 1], xtol=1.0e-12)
-            break
+    crossings = np.flatnonzero((margins[:-1] > 0.0) & (margins[1:] <= 0.0))
+    if crossings.size:
+        i = crossings[0]
+        flip = _brent(lambda x: weak_stability_margin(w, x),
+                      r[i], r[i + 1], xtol=1.0e-12)
     return FoliationScan(
         a=w.a,
         conserved_mass=w.mass,
         r_values=r,
-        masses=masses,
-        mass_deviation_max=float(np.max(np.abs(masses - w.mass))),
-        mass_derivative_max=float(np.max(dmass)),
+        masses=geo.hawking_mass,
+        mass_deviation_max=float(np.max(np.abs(geo.hawking_mass - w.mass))),
+        mass_derivative_max=float(np.max(np.abs(slice_mass_derivative(w, r)))),
         mean_curvatures=hs,
-        h_sign_ok=bool(sign_ok),
+        h_sign_ok=sign_ok,
         dh_dr_at_zero=float(dh),
-        first_eigenvalue_minimal=lam0,
+        first_eigenvalue_minimal=jacobi_spectrum(w, 0.0, 0).first_eigenvalue,
         margins=margins,
         margin_flip_radius=flip,
     )

@@ -66,20 +66,24 @@ class JacobiSpectrum:
 def jacobi_spectrum(w: WarpFactor, r: float, lmax: int) -> JacobiSpectrum:
     """Eigenvalues lambda_l of the stability operator on the slice at r.
 
-    Convention L phi + lambda phi = 0; the potential term uses the profile
-    equation for u'', never a finite difference.
+    Convention L phi + lambda phi = 0; the potential Ric(nu,nu) + |A|^2
+    is read from ``slice_geometry``, whose u'' comes from the profile
+    equation, never from a finite difference.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
-    u, up = w.evaluate(float(r))
-    upp = w.curvature_accel(u, up)
-    potential = -2.0 * upp / u + 2.0 * up * up / (u * u)
-    ll = np.arange(lmax + 1)
-    lam = ll * (ll + 1.0) / (u * u) - potential
+    geo = slice_geometry(w, r)
     return JacobiSpectrum(
-        a=w.a, r=float(r), u=float(u), potential=float(potential),
-        lambda_by_degree=lam,
+        a=w.a, r=geo.r, u=geo.u,
+        potential=geo.ricci_normal + geo.shape_operator_sq,
+        lambda_by_degree=_jacobi_eigenvalue(geo, np.arange(lmax + 1)),
     )
+
+
+def _jacobi_eigenvalue(geo, l):
+    """lambda_l = l(l+1)/u^2 - (Ric(nu,nu) + |A|^2) on the slices of geo."""
+    return l * (l + 1.0) / (geo.u * geo.u) - (geo.ricci_normal
+                                             + geo.shape_operator_sq)
 
 
 @dataclass
@@ -124,23 +128,22 @@ def minimal_slice_rigidity(w: WarpFactor) -> AreaBoundReport:
     curvature 2, Ric(nu, nu) = -lambda_0 and Gauss curvature 4 pi / area.
     """
     geo = slice_geometry(w, 0.0)
-    spec = jacobi_spectrum(w, 0.0, 1)
-    lam0 = spec.first_eigenvalue
+    lam0, lam1 = _jacobi_eigenvalue(geo, np.arange(2)).tolist()
     bound = 4.0 * np.pi / (lam0 + 1.0)
-    u, up = w.evaluate(0.0)
-    upp = w.curvature_accel(u, up)
-    ambient_scalar = -4.0 * upp / u - 2.0 * (up * up - 1.0) / (u * u)
+    # Gauss equation: R = 2K + 2 Ric(nu, nu) - H^2 + |A|^2
+    ambient_scalar = (2.0 * geo.gauss_curvature + 2.0 * geo.ricci_normal
+                      - geo.mean_curvature ** 2 + geo.shape_operator_sq)
     return AreaBoundReport(
         a=w.a,
         area=geo.area,
         first_eigenvalue=lam0,
-        bound=float(bound),
+        bound=bound,
         margin=area_bound_check(geo.area, lam0),
         shape_operator_sq=geo.shape_operator_sq,
         ricci_normal=geo.ricci_normal,
         gauss_curvature=geo.gauss_curvature,
-        ambient_scalar=float(ambient_scalar),
-        eigengap=float(spec.lambda_by_degree[1] - lam0),
+        ambient_scalar=ambient_scalar,
+        eigengap=lam1 - lam0,
     )
 
 
@@ -312,13 +315,14 @@ def mean_deviation_coercivity(w: WarpFactor, r: float) -> float:
     return float(3.0 * w.mass * (1.0 - up * up) / (4.0 * np.pi * u**4))
 
 
-def weak_stability_margin(w: WarpFactor, r: float) -> float:
-    """Stability margin of the slice at r against the minimal slice's
-    first eigenvalue: min over nonconstant degrees of lambda_l(r), minus
-    lambda_0(0).  The minimum sits at degree 1."""
-    lam1_here = float(jacobi_spectrum(w, r, 1).lambda_by_degree[1])
-    lam0_min = float(jacobi_spectrum(w, 0.0, 0).lambda_by_degree[0])
-    return lam1_here - lam0_min
+def weak_stability_margin(w: WarpFactor, r):
+    """Stability margin of the slice at r, a scalar or an array of radii,
+    against the minimal slice's first eigenvalue: min over nonconstant
+    degrees of lambda_l(r), minus lambda_0(0).  The minimum sits at
+    degree 1."""
+    lam0_min = jacobi_spectrum(w, 0.0, 0).first_eigenvalue
+    val = _jacobi_eigenvalue(slice_geometry(w, r), 1) - lam0_min
+    return float(val) if np.ndim(val) == 0 else val
 
 
 @dataclass

@@ -233,7 +233,8 @@ class TaylorPatch:
 
 @dataclass
 class SliceGeometry:
-    """Closed-form geometry of one round slice of the warped metric."""
+    """Closed-form geometry of round slices of the warped metric: floats
+    for one slice, arrays for an array of radii."""
 
     r: float
     u: float
@@ -308,8 +309,9 @@ class WarpFactor:
         r = np.asarray(r, dtype=float)
         rr = r.reshape(-1)
         rf = np.abs(rr)
-        if np.any(rf > self.r_max):
-            raise RangeError(f"radius beyond solved range [0, {self.r_max:.6g}]")
+        # written so that a nan radius fails it too
+        if not np.all(rf <= self.r_max):
+            raise RangeError(f"|r| outside solved range [0, {self.r_max:.6g}]")
         idx = np.searchsorted(self._r, rf, side="right") - 1
         s = rf - self._r[idx]
         tail = np.einsum("ik,ijk->ij", s[:, None] ** _POWERS, self._tails[idx])
@@ -457,51 +459,47 @@ def conserved_mass(w: WarpFactor, r) -> float:
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _mass_from_integrals(area: float, willmore: float) -> float:
+def _mass_from_integrals(area, willmore):
     """Hawking mass with Lambda = 2 from the area and the integral of H^2."""
-    return float(
-        np.sqrt(area / (16.0 * np.pi))
-        * (1.0 - willmore / (16.0 * np.pi) - area / (12.0 * np.pi))
-    )
+    val = (np.sqrt(area / (16.0 * np.pi))
+           * (1.0 - willmore / (16.0 * np.pi) - area / (12.0 * np.pi)))
+    return float(val) if np.ndim(val) == 0 else val
 
 
-def slice_geometry(w: WarpFactor, r: float) -> SliceGeometry:
-    """Geometry of the round slice at radius r.
+def slice_geometry(w: WarpFactor, r) -> SliceGeometry:
+    """Geometry of the round slices at radius r, a scalar or an array.
 
-    The outward unit normal points toward increasing r; with that
-    orientation the slice mean curvature is -2 u' / u.
+    A scalar r gives float fields, an array of radii gives arrays of its
+    shape; both come from one ``evaluate``.  The outward unit normal
+    points toward increasing r; with that orientation the slice mean
+    curvature is -2 u' / u.
     """
-    u, up = w.evaluate(float(r))
+    r = np.asarray(r, dtype=float)
+    u, up = w.evaluate(r)
     upp = w.curvature_accel(u, up)
     area = 4.0 * np.pi * u * u
     mean_curv = -2.0 * up / u
-    shape_sq = 2.0 * up * up / (u * u)
-    gauss = 1.0 / (u * u)
-    ric_nn = -2.0 * upp / u
-    willmore = mean_curv * mean_curv * area
-    return SliceGeometry(
-        r=float(r),
-        u=float(u),
-        uprime=float(up),
-        area=float(area),
-        mean_curvature=float(mean_curv),
-        shape_operator_sq=float(shape_sq),
-        gauss_curvature=float(gauss),
-        ricci_normal=float(ric_nn),
-        hawking_mass=_mass_from_integrals(area, willmore),
-    )
+    geo = dict(r=r, u=u, uprime=up, area=area, mean_curvature=mean_curv,
+               shape_operator_sq=2.0 * up * up / (u * u),
+               gauss_curvature=1.0 / (u * u), ricci_normal=-2.0 * upp / u,
+               hawking_mass=_mass_from_integrals(
+                   area, mean_curv * mean_curv * area))
+    if r.ndim == 0:
+        geo = {k: float(v) for k, v in geo.items()}
+    return SliceGeometry(**geo)
 
 
-def slice_mass_derivative(w: WarpFactor, r: float, accel_override=None) -> float:
-    """Radial derivative of the slice Hawking mass.
+def slice_mass_derivative(w: WarpFactor, r):
+    """Radial derivative of the slice Hawking mass at r, a scalar or an
+    array of radii.
 
     Equals (1/2) u' (1 - u'^2 - u^2 - 2 u u'') and vanishes identically
-    along solutions of the profile equation.  ``accel_override`` replaces
-    u'' (negative control: a non-solution value makes this nonzero).
+    along solutions of the profile equation.
     """
-    u, up = w.evaluate(float(r))
-    upp = w.curvature_accel(u, up) if accel_override is None else float(accel_override)
-    return float(0.5 * up * (1.0 - up * up - u * u - 2.0 * u * upp))
+    u, up = w.evaluate(r)
+    upp = w.curvature_accel(u, up)
+    val = 0.5 * up * (1.0 - up * up - u * u - 2.0 * u * upp)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def static_chart_roots(mass: float) -> tuple[float, float]:

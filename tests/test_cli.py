@@ -92,6 +92,21 @@ def test_mass_graph_report(y1_file):
     assert doc["critical"] is False
 
 
+@pytest.mark.parametrize("command", [
+    ["slice", "info"],
+    ["variation", "second", "--phi", "PHI"],
+    ["mass", "graph", "--phi", "PHI"],
+])
+def test_nan_radius_is_a_usage_error(command, y1_file):
+    """A nan radius fails the range guard: exit 2 with one diagnostic,
+    not NaN values in the JSON or a failed Gram solve."""
+    args = [y1_file if arg == "PHI" else arg for arg in command]
+    code, out, err = run_cli(*args, "--a", "0.5", "--r", "nan")
+    assert code == 2
+    assert out == ""
+    assert "solved range" in err
+
+
 def test_mass_graph_missing_phi_file():
     code, _, err = run_cli("mass", "graph", "--a", "0.5", "--r", "0.3",
                            "--phi", "/nonexistent/phi.json")

@@ -6,26 +6,35 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkmass import (
     ConvergenceStudy,
+    FoliationScan,
     HarmonicField,
     InvariantViolation,
     RangeError,
     SphereGrid,
     SweepConfig,
+    WarpFactor,
     build_graph,
     convergence_study,
     critical_point_classifier,
     draw_perturbation,
     foliation_scan,
     hawking_mass_deficit,
+    jacobi_spectrum,
     perturbation_sweep,
+    slice_geometry,
+    slice_mass_derivative,
     sobolev_norms,
     solve_warp_factor,
+    weak_stability_margin,
 )
 from hawkmass import sweeps
 from hawkmass.sweeps import assert_sweep_passes
+from hawkmass.warp import _brent
 
 
 def small_config(**overrides):
@@ -289,13 +298,120 @@ def test_foliation_slope_matches_first_eigenvalue(a):
 
 
 def test_foliation_scan_mean_curvature_odd(w05):
+    """evaluate flips only the sign of u' at -r, so H(-r) = -H(r) exactly."""
     for r in (0.4, 1.1, 2.6):
-        u_p, up_p = w05.evaluate(r)
-        u_m, up_m = w05.evaluate(-r)
-        h_p = -2.0 * up_p / u_p
-        h_m = -2.0 * up_m / u_m
+        h_p, h_m = slice_geometry(w05, np.array([r, -r])).mean_curvature
         assert h_p * h_m < 0.0
-        assert h_m == pytest.approx(-h_p, rel=1e-14)
+        assert h_m == -h_p
+
+
+def _reference_foliation_scan(w, r_grid):
+    """The scan as a loop of scalar calls per slice, kept as the
+    reference the array scan must reproduce byte for byte."""
+    r = np.asarray(r_grid, dtype=float)
+    period = w.period
+    masses = np.empty(r.size)
+    hs = np.empty(r.size)
+    margins = np.empty(r.size)
+    dmass = np.empty(r.size)
+    for i, ri in enumerate(r):
+        geo = slice_geometry(w, float(ri))
+        masses[i] = geo.hawking_mass
+        hs[i] = geo.mean_curvature
+        margins[i] = weak_stability_margin(w, float(ri))
+        dmass[i] = abs(slice_mass_derivative(w, float(ri)))
+    edge = 1.0e-6
+    sign_ok = True
+    if period is not None:
+        for ri, hi in zip(r, hs):
+            s = float(ri) % period
+            if edge < s < period / 2.0 - edge and not hi < 0.0:
+                sign_ok = False
+            if period / 2.0 + edge < s < period - edge and not hi > 0.0:
+                sign_ok = False
+    h_step = 1.0e-2 * w.a
+    h2, h1, hm1, hm2 = (slice_geometry(w, k * h_step).mean_curvature
+                        for k in (2, 1, -1, -2))
+    dh = (-h2 + 8.0 * h1 - 8.0 * hm1 + hm2) / (12.0 * h_step)
+    lam0 = float(jacobi_spectrum(w, 0.0, 0).lambda_by_degree[0])
+    flip = None
+    for i in range(r.size - 1):
+        if margins[i] > 0.0 >= margins[i + 1]:
+            flip = _brent(lambda x: weak_stability_margin(w, x),
+                          r[i], r[i + 1], xtol=1.0e-12)
+            break
+    return FoliationScan(
+        a=w.a, conserved_mass=w.mass, r_values=r, masses=masses,
+        mass_deviation_max=float(np.max(np.abs(masses - w.mass))),
+        mass_derivative_max=float(np.max(dmass)),
+        mean_curvatures=hs, h_sign_ok=bool(sign_ok),
+        dh_dr_at_zero=float(dh), first_eigenvalue_minimal=lam0,
+        margins=margins, margin_flip_radius=flip,
+    )
+
+
+@pytest.mark.parametrize("a", np.linspace(0.2, 0.9, 8))
+def test_foliation_scan_matches_scalar_reference(a):
+    w = solve_warp_factor(a, 13.0)
+    for grid in (np.linspace(0.0, w.period, 64, endpoint=False),
+                 np.linspace(-w.r_max, w.r_max, 97)):
+        assert (foliation_scan(w, grid).to_json()
+                == _reference_foliation_scan(w, grid).to_json())
+
+
+_WARPS = {}
+
+
+def _warp(a):
+    if a not in _WARPS:
+        _WARPS[a] = solve_warp_factor(a, 13.0)
+    return _WARPS[a]
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.sampled_from([0.2, 0.5, 0.9]),
+       fractions=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12))
+def test_slice_routes_on_arrays_match_scalars(a, fractions):
+    """slice_geometry, slice_mass_derivative and weak_stability_margin on
+    an array of radii equal their scalar calls bitwise; a scalar radius
+    gives Python floats."""
+    w = _warp(a)
+    r = w.r_max * np.array(fractions)
+    geo = slice_geometry(w, r)
+    dmass = slice_mass_derivative(w, r)
+    margins = weak_stability_margin(w, r)
+    for i, ri in enumerate(r.tolist()):
+        one = slice_geometry(w, ri)
+        for name, value in one.__dict__.items():
+            assert type(value) is float
+            assert value == getattr(geo, name)[i]
+        d, m = slice_mass_derivative(w, ri), weak_stability_margin(w, ri)
+        assert type(d) is float and type(m) is float
+        assert d == dmass[i] and m == margins[i]
+
+
+def test_foliation_scan_evaluate_calls_do_not_grow_with_slices(w05,
+                                                               monkeypatch):
+    """The scan evaluates its grid in a few array calls; only the Brent
+    refinement of the margin flip evaluates one radius at a time."""
+    calls = []
+    evaluate = WarpFactor.evaluate
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return evaluate(self, r)
+
+    monkeypatch.setattr(WarpFactor, "evaluate", counted)
+    for n in (16, 64, 256):
+        calls.clear()
+        foliation_scan(w05, np.linspace(0.0, w05.period, n, endpoint=False))
+        assert len(calls) <= 32
+        assert n in calls
+
+
+def test_foliation_scan_rejects_nan_radius(w05):
+    with pytest.raises(RangeError):
+        foliation_scan(w05, [0.0, 0.5, np.nan])
 
 
 def test_foliation_scan_margin_positive_before_flip(w05):

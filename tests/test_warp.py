@@ -119,6 +119,13 @@ def test_range_guard(w05):
         w05.evaluate(-(w05.r_max + 1.0))
 
 
+def test_range_guard_rejects_nan(w05):
+    with pytest.raises(RangeError):
+        w05.evaluate(np.nan)
+    with pytest.raises(RangeError):
+        w05.evaluate(np.array([0.1, np.nan]))
+
+
 def test_range_ends_exactly_at_the_last_node(w05):
     u, up = w05.evaluate(w05.r_max)
     assert (u, up) == tuple(w05.nodes[-1, 1:])
