@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import InvariantViolation, SolveError
-from .graph import build_graph, hawking_mass_deficit, surface_report
+from .graph import build_graph, surface_report
 from .sphere import HarmonicField
 from .sweeps import (
     SweepConfig,
@@ -120,8 +120,7 @@ def _cmd_mass_graph(args) -> int:
     surface = build_graph(w, args.r, phi, scale=args.scale,
                           grid_lmax=args.grid_lmax)
     report = surface_report(surface)
-    report["deficit"] = hawking_mass_deficit(w, args.r, phi, args.scale,
-                                             grid_lmax=args.grid_lmax)
+    report["deficit"] = surface.mass_deficit()
     cls = critical_point_classifier(surface)
     report["critical"] = cls.critical
     report["kind"] = cls.kind

@@ -15,6 +15,11 @@ rate phi * (2 u' / u) under an outward normal push of speed phi.
 Quadrature lives on a geometry grid with twice the band limit of phi
 (minimum 16) to keep the rational nonlinearities from aliasing back into
 the low modes.
+
+One builder, ``_graph_surface``, computes a graph's node geometry from the
+jet of phi.  ``GraphSurface.mass_deficit`` forms the deficit against the
+base slice from what it keeps: the derivatives of the graph function and,
+inside the base-slice patch reach, the differences u - u0 and u' - u0'.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError, SolveError
-from .sphere import HarmonicField, SphereGrid, get_grid
+from .sphere import HarmonicField, SphereGrid, _geometry_lmax, get_grid
 from .warp import WarpFactor, _mass_from_integrals
 
 __all__ = [
@@ -36,22 +41,10 @@ __all__ = [
     "surface_report",
 ]
 
-_MIN_GEOMETRY_LMAX = 16
 # conjugate gradients on the induced Gram matrix: stop at this relative
 # residual, give up after this many iterations
 _CG_RTOL = 1.0e-14
 _CG_MAX_ITER = 200
-
-
-def _geometry_lmax(phi: HarmonicField, grid_lmax: int | None) -> int:
-    if grid_lmax is None:
-        return max(2 * phi.lmax, _MIN_GEOMETRY_LMAX)
-    if grid_lmax < 2 * phi.lmax:
-        raise ValueError(
-            f"geometry band limit {grid_lmax} is below twice the field band "
-            f"limit {phi.lmax}; products would alias"
-        )
-    return int(grid_lmax)
 
 
 @dataclass
@@ -67,7 +60,6 @@ class GraphSurface:
     phi: HarmonicField
     scale: float
     grid: SphereGrid
-    rho: np.ndarray
     u: np.ndarray
     uprime: np.ndarray
     tilt: np.ndarray            # W = sqrt(1 + |grad rho|^2 / u^2)
@@ -79,12 +71,87 @@ class GraphSurface:
     area: float
     willmore: float             # integral of H^2
     _hinv: tuple = field(repr=False, default=None)
+    # (rho_theta, rho_lambda) and the covariant Hessian (tt, tl, ll) of rho
+    _grad: tuple = field(repr=False, default=None)
+    _hess: tuple = field(repr=False, default=None)
+    # (u0, u0', u - u0, u' - u0') from the base-slice patch; None beyond
+    # the patch reach
+    _delta: tuple = field(repr=False, default=None)
     _residual_cache: np.ndarray = field(repr=False, default=None)
 
     def hawking_mass(self) -> float:
         """Hawking mass with Lambda = 2:
         sqrt(|S|/16pi) (1 - int H^2 / 16pi - |S| / 12pi)."""
         return _mass_from_integrals(self.area, self.willmore)
+
+    def mass_deficit(self) -> float:
+        """m_H(graph) - m_H(base slice), evaluated without cancellation.
+
+        Integrand differences are formed pointwise and the mass difference
+        is expanded algebraically.  On the minimal slice (u0' = 0) every
+        difference is quadratic in scale, so deficits keep full relative
+        accuracy down to ~1e-16.  Off it, O(scale) pointwise terms that
+        integrate to 0 only analytically leave roundoff of about
+        eps * scale on an O(scale^2) deficit: at a = 0.5 and base_r 0.4 a
+        random mean-free degree-8 phi's deficit spread by 2.7e-13 (scale
+        1e-4) to 2.3e-11 (scale 1e-6), relative, across geometry band
+        limits 16 to 48.  Raises ``RangeError`` unless the perturbation
+        stays inside the base point's expansion radius.
+        """
+        if self._delta is None:
+            raise RangeError(
+                "perturbation too large for the base-slice expansion; "
+                "deficit evaluation needs max|phi| within the local radius"
+            )
+        u0, up0, du, dup = self._delta
+        u, up, tilt = self.u, self.uprime, self.tilt
+        rt, rl = self._grad
+        hess_tt, hess_tl, hess_ll = self._hess
+        h_tt, h_tl, h_ll = self._hinv
+        st = self.grid.sin_theta[:, None]
+        grad_sq = rt * rt + (rl / st) ** 2
+        denom = u * u * (1.0 + grad_sq / (u * u))
+        slope = 2.0 * up / u
+        rl_up = rl / (st * st)
+
+        # difference pipeline against the base slice, every term O(scale)
+        h0 = -2.0 * up0 / u0
+        tilt_m1 = (grad_sq / (u * u)) / (tilt + 1.0)            # W - 1
+        d_area_el = du * (u + u0) + u * u * tilt_m1             # u^2 W - u0^2
+        d_uup = du * up + u0 * dup                              # u u' - u0 u0'
+        inv_gap = -tilt_m1 / tilt                               # 1/W - 1
+        da_tt = (hess_tt - d_uup - slope * rt * rt) / tilt - u0 * up0 * inv_gap
+        da_tl = (hess_tl - slope * rt * rl) / tilt
+        da_ll = (
+            (hess_ll - d_uup * st * st - slope * rl * rl) / tilt
+            - u0 * up0 * st * st * inv_gap
+        )
+        d_usq_inv = -du * (u + u0) / (u * u * u0 * u0)          # u^-2 - u0^-2
+        dh_tt = d_usq_inv - rt * rt / (denom * u * u)
+        dh_tl = -rt * rl_up / (denom * u * u)
+        dh_ll = d_usq_inv / (st * st) - rl_up * rl_up / (denom * u * u)
+        # H - H0 = dh : A0 + h : dA with A0 = -u0 u0' g_round
+        d_mean = (
+            -u0 * up0 * (dh_tt + st * st * dh_ll)
+            + h_tt * da_tt + 2.0 * h_tl * da_tl + h_ll * da_ll
+        )
+        d_willmore_el = (d_mean * (self.mean_curvature + h0) * self.area_element
+                         + h0 * h0 * d_area_el)
+
+        qw = self.grid.quad_weights
+        area0 = 4.0 * np.pi * u0 * u0
+        will0 = 16.0 * np.pi * up0 * up0
+        d_area = float(np.sum(qw * d_area_el))
+        d_will = float(np.sum(qw * d_willmore_el))
+        area = area0 + d_area
+        will = will0 + d_will
+        s0 = np.sqrt(area0 / (16.0 * np.pi))
+        s1 = np.sqrt(area / (16.0 * np.pi))
+        d_s = d_area / (16.0 * np.pi * (s0 + s1))
+        return float(
+            d_s * (1.0 - will / (16.0 * np.pi) - area / (12.0 * np.pi))
+            + s0 * (-d_will / (16.0 * np.pi) - d_area / (12.0 * np.pi))
+        )
 
     def el_residual(self) -> np.ndarray:
         """Pointwise residual of the criticality equation on the nodes."""
@@ -102,10 +169,12 @@ class GraphSurface:
         return float(np.sum(self.grid.quad_weights * self.area_element * q))
 
 
-def _graph_node_fields(w: WarpFactor, base_r: float, jet: dict,
-                       scale: float, grid: SphereGrid, want_delta: bool):
-    """All pointwise geometry of the graph over the jet of phi on ``grid``;
-    optionally the cancellation-free differences against the base slice."""
+def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
+                   scale: float, grid: SphereGrid, jet: dict) -> GraphSurface:
+    """The graph r = base_r + scale * phi over the jet of phi on ``grid``:
+    its pointwise geometry and integrals, plus what ``mass_deficit``
+    reads."""
+    base_r = float(base_r)
     t = float(scale)
     st = grid.sin_theta[:, None]
     ct = grid.x[:, None]
@@ -120,14 +189,10 @@ def _graph_node_fields(w: WarpFactor, base_r: float, jet: dict,
     patch = w.taylor_patch(base_r)
     if patch.covers(smax):
         u, up, du, dup = patch.eval_delta(s_shift)
+        delta = (patch.coeff_u[0], patch.coeff_up[0], du, dup)
     else:
-        if want_delta:
-            raise RangeError(
-                "perturbation too large for the base-slice expansion; "
-                "deficit evaluation needs max|phi| within the local radius"
-            )
         u, up = w.evaluate(base_r + s_shift)
-        du = dup = None
+        delta = None
 
     # first derivatives of rho and the covariant Hessian on the unit sphere
     rt = t * jet["ft"]
@@ -170,54 +235,28 @@ def _graph_node_fields(w: WarpFactor, base_r: float, jet: dict,
     ) / w_sq
     gauss = 1.0 - ric_nn + 0.5 * (mean_curv * mean_curv - shape_sq)
 
-    fields = {
-        "rho": base_r + s_shift,
-        "u": u,
-        "uprime": up,
-        "tilt": tilt,
-        "area_element": area_el,
-        "mean_curvature": mean_curv,
-        "shape_sq": shape_sq,
-        "ricci_normal": ric_nn,
-        "gauss_curvature": gauss,
-        "hinv": (h_tt, h_tl, h_ll),
-    }
-
-    if not want_delta:
-        return fields, None
-
-    # difference pipeline against the base slice, every term O(scale)
-    u0 = patch.coeff_u[0]
-    up0 = patch.coeff_up[0]
-    h0 = -2.0 * up0 / u0
-    tilt_m1 = (grad_sq / (u * u)) / (tilt + 1.0)            # W - 1
-    d_area_el = du * (u + u0) + u * u * tilt_m1             # u^2 W - u0^2
-    d_uup = du * up + u0 * dup                              # u u' - u0 u0'
-    inv_gap = -tilt_m1 / tilt                               # 1/W - 1
-    da_tt = (hess_tt - d_uup - slope * rt * rt) / tilt - u0 * up0 * inv_gap
-    da_tl = (hess_tl - slope * rt * rl) / tilt
-    da_ll = (
-        (hess_ll - d_uup * st * st - slope * rl * rl) / tilt
-        - u0 * up0 * st * st * inv_gap
+    qw = grid.quad_weights
+    return GraphSurface(
+        warp=w,
+        base_r=base_r,
+        phi=phi,
+        scale=t,
+        grid=grid,
+        u=u,
+        uprime=up,
+        tilt=tilt,
+        area_element=area_el,
+        mean_curvature=mean_curv,
+        shape_sq=shape_sq,
+        gauss_curvature=gauss,
+        ricci_normal=ric_nn,
+        area=float(np.sum(qw * area_el)),
+        willmore=float(np.sum(qw * area_el * mean_curv ** 2)),
+        _hinv=(h_tt, h_tl, h_ll),
+        _grad=(rt, rl),
+        _hess=(hess_tt, hess_tl, hess_ll),
+        _delta=delta,
     )
-    d_usq_inv = -du * (u + u0) / (u * u * u0 * u0)          # u^-2 - u0^-2
-    dh_tt = d_usq_inv - rt_up * rt_up / (denom * u * u)
-    dh_tl = -rt_up * rl_up / (denom * u * u)
-    dh_ll = d_usq_inv / (st * st) - rl_up * rl_up / (denom * u * u)
-    # H - H0 = dh : A0 + h : dA with A0 = -u0 u0' g_round
-    d_mean = (
-        -u0 * up0 * (dh_tt + st * st * dh_ll)
-        + h_tt * da_tt + 2.0 * h_tl * da_tl + h_ll * da_ll
-    )
-    d_willmore_el = d_mean * (mean_curv + h0) * area_el + h0 * h0 * d_area_el
-    deltas = {
-        "d_area_element": d_area_el,
-        "d_mean": d_mean,
-        "d_willmore_element": d_willmore_el,
-        "u0": u0,
-        "uprime0": up0,
-    }
-    return fields, deltas
 
 
 def build_graph(w: WarpFactor, base_r: float, phi: HarmonicField,
@@ -240,75 +279,24 @@ def build_graph(w: WarpFactor, base_r: float, phi: HarmonicField,
     -------
     GraphSurface
     """
-    grid = get_grid(_geometry_lmax(phi, grid_lmax))
+    if grid_lmax is None:
+        grid_lmax = _geometry_lmax(phi.lmax)
+    elif grid_lmax < 2 * phi.lmax:
+        raise ValueError(
+            f"geometry band limit {grid_lmax} is below twice the field band "
+            f"limit {phi.lmax}; products would alias"
+        )
+    grid = get_grid(int(grid_lmax))
     jet = grid.synthesize_jet(phi.padded(grid.lmax))
-    fields, _ = _graph_node_fields(w, float(base_r), jet, scale, grid, False)
-    qw = grid.quad_weights
-    area = float(np.sum(qw * fields["area_element"]))
-    willmore = float(
-        np.sum(qw * fields["area_element"] * fields["mean_curvature"] ** 2)
-    )
-    return GraphSurface(
-        warp=w,
-        base_r=float(base_r),
-        phi=phi,
-        scale=float(scale),
-        grid=grid,
-        rho=fields["rho"],
-        u=fields["u"],
-        uprime=fields["uprime"],
-        tilt=fields["tilt"],
-        area_element=fields["area_element"],
-        mean_curvature=fields["mean_curvature"],
-        shape_sq=fields["shape_sq"],
-        gauss_curvature=fields["gauss_curvature"],
-        ricci_normal=fields["ricci_normal"],
-        area=area,
-        willmore=willmore,
-        _hinv=fields["hinv"],
-    )
+    return _graph_surface(w, base_r, phi, scale, grid, jet)
 
 
 def hawking_mass_deficit(w: WarpFactor, base_r: float, phi: HarmonicField,
                          scale: float = 1.0,
                          grid_lmax: int | None = None) -> float:
-    """m_H(graph) - m_H(base slice), evaluated without cancellation.
-
-    Integrand differences are formed pointwise and the mass difference is
-    expanded algebraically.  On the minimal slice (u0' = 0) every difference
-    is quadratic in scale, so deficits keep full relative accuracy down to
-    ~1e-16.  Off it, O(scale) pointwise terms that integrate to 0 only
-    analytically leave roundoff of about eps * scale on an O(scale^2)
-    deficit: at a = 0.5 and base_r 0.4 a random mean-free degree-8 phi's
-    deficit spread by 2.7e-13 (scale 1e-4) to 2.3e-11 (scale 1e-6),
-    relative, across geometry band limits 16 to 48.  Requires the
-    perturbation to stay inside the base point's expansion radius.
-    """
-    grid = get_grid(_geometry_lmax(phi, grid_lmax))
-    jet = grid.synthesize_jet(phi.padded(grid.lmax))
-    return _jet_mass_deficit(w, float(base_r), jet, scale, grid)
-
-
-def _jet_mass_deficit(w: WarpFactor, base_r: float, jet: dict, scale: float,
-                      grid: SphereGrid) -> float:
-    """``hawking_mass_deficit`` over the jet of phi on ``grid``."""
-    _, deltas = _graph_node_fields(w, base_r, jet, scale, grid, True)
-    qw = grid.quad_weights
-    u0 = deltas["u0"]
-    up0 = deltas["uprime0"]
-    area0 = 4.0 * np.pi * u0 * u0
-    will0 = 16.0 * np.pi * up0 * up0
-    d_area = float(np.sum(qw * deltas["d_area_element"]))
-    d_will = float(np.sum(qw * deltas["d_willmore_element"]))
-    area = area0 + d_area
-    will = will0 + d_will
-    s0 = np.sqrt(area0 / (16.0 * np.pi))
-    s1 = np.sqrt(area / (16.0 * np.pi))
-    d_s = d_area / (16.0 * np.pi * (s0 + s1))
-    return float(
-        d_s * (1.0 - will / (16.0 * np.pi) - area / (12.0 * np.pi))
-        + s0 * (-d_will / (16.0 * np.pi) - d_area / (12.0 * np.pi))
-    )
+    """m_H(graph) - m_H(base slice) without cancellation: the
+    ``mass_deficit`` of ``build_graph`` on the same arguments."""
+    return build_graph(w, base_r, phi, scale, grid_lmax).mass_deficit()
 
 
 def _el_potential(surface: GraphSurface) -> np.ndarray:

@@ -326,6 +326,13 @@ def get_grid(lmax: int) -> SphereGrid:
     return grid
 
 
+def _geometry_lmax(field_lmax: int) -> int:
+    """Band limit of the grid that samples nonlinear expressions in a field
+    of band limit ``field_lmax``: twice it, so products do not alias, and
+    at least 16, so sup estimates see enough nodes near the poles."""
+    return max(2 * field_lmax, 16)
+
+
 @dataclass
 class SobolevNorms:
     """Norm estimates of a field read on a round slice of radius ``u``."""
@@ -474,7 +481,7 @@ def sobolev_norms(field: HarmonicField, u: float = 1.0) -> SobolevNorms:
     """
     # oversampled grid: the C^k numbers are sup estimates, and the
     # field's own band-limit grid is too coarse near the poles
-    grid = get_grid(max(2 * field.lmax, 16))
+    grid = get_grid(_geometry_lmax(field.lmax))
     jet = grid.synthesize_jet(field.padded(grid.lmax))
     return _sobolev_norms(field, u, grid, jet)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, RangeError
-from .graph import GraphSurface, _jet_mass_deficit
-from .sphere import (HarmonicField, SphereGrid, _sobolev_norms, get_grid,
-                     sobolev_norms)
+from .graph import GraphSurface, _graph_surface
+from .sphere import (HarmonicField, SphereGrid, _geometry_lmax, _sobolev_norms,
+                     get_grid, sobolev_norms)
 from .warp import WarpFactor, _brent, slice_geometry, slice_mass_derivative
 from .variation import (
     jacobi_spectrum,
@@ -253,7 +253,7 @@ def _run_sample(cfg: SweepConfig, w: WarpFactor, c_est: float,
     norms = _sobolev_norms(phi, u_base, grid, jet)
     slice_tol = cfg.tolerances.get("slice_norm", _SLICE_NORM_TOL)
     slack = cfg.tolerances.get("ratio_slack", 0.1)
-    deficit = _jet_mass_deficit(w, float(cfg.base_r), jet, 1.0, grid)
+    deficit = _graph_surface(w, cfg.base_r, phi, 1.0, grid, jet).mass_deficit()
     if norms.c2_bound < slice_tol:
         return SweepRecord(index=index, seed=cfg.master_seed,
                            c2_norm=norms.c2_bound, w22_norm=norms.w22,
@@ -287,7 +287,7 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
             f"epsilon {cfg.epsilon:g} exceeds the reach {patch.reach():.3g} "
             f"of the base-slice expansion at base_r {cfg.base_r:g}")
     # the geometry grid of every drawn phi, whose band limit is lmax // 2
-    grid = get_grid(max(2 * max(1, cfg.lmax // 2), 16))
+    grid = get_grid(_geometry_lmax(cfg.lmax // 2))
     c_est = quadratic_form_report(w, cfg.base_r, cfg.lmax).c_est
     records = [_run_sample(cfg, w, c_est, grid, i)
                for i in range(cfg.n_samples)]

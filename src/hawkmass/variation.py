@@ -243,8 +243,7 @@ class FdSecondVariation:
 
 
 def fd_second_variation(w: WarpFactor, r: float, phi: HarmonicField,
-                        step: float = 1.0e-3,
-                        grid_lmax: int | None = None) -> FdSecondVariation:
+                        step: float = 1.0e-3) -> FdSecondVariation:
     """Second derivative of t -> m_H(graph(t * phi)) at t = 0 by central
     differences of cancellation-free deficits at t in {+-h, +-2h}.
 
@@ -256,7 +255,7 @@ def fd_second_variation(w: WarpFactor, r: float, phi: HarmonicField,
     h = float(step)
     d = {}
     for mult in (1.0, -1.0, 2.0, -2.0):
-        d[mult] = hawking_mass_deficit(w, r, phi, mult * h, grid_lmax=grid_lmax)
+        d[mult] = hawking_mass_deficit(w, r, phi, mult * h)
     v_h = (d[1.0] + d[-1.0]) / (h * h)
     v_2h = (d[2.0] + d[-2.0]) / (4.0 * h * h)
     err = (v_2h - v_h) / 3.0

@@ -174,12 +174,11 @@ def _horner(coeffs, s):
 class TaylorPatch:
     """Taylor expansion of the warp factor around one base point."""
 
-    def __init__(self, r0: float, u0: float, up0: float, order: int = _BASE_ORDER):
+    def __init__(self, r0: float, u0: float, up0: float):
         self.r0 = float(r0)
-        self.order = order
-        U = _taylor_coeff_block(u0, up0, order)[:, 0]
+        U = _taylor_coeff_block(u0, up0, _BASE_ORDER)[:, 0]
         self.coeff_u = U
-        self.coeff_up = U[1:] * np.arange(1, order + 1)
+        self.coeff_up = U[1:] * np.arange(1, _BASE_ORDER + 1)
         # WarpFactor.taylor_patch hands one patch to many callers
         self.coeff_u.setflags(write=False)
         self.coeff_up.setflags(write=False)
@@ -217,9 +216,9 @@ class TaylorPatch:
         for small s."""
         s = np.asarray(s, dtype=float)
         flat = s.ravel()
-        cu = np.broadcast_to(self.coeff_u[1:, None], (self.order, flat.size))
+        cu = np.broadcast_to(self.coeff_u[1:, None], (_BASE_ORDER, flat.size))
         delta = _horner(cu, flat) * flat
-        cp = np.broadcast_to(self.coeff_up[1:, None], (self.order - 1, flat.size))
+        cp = np.broadcast_to(self.coeff_up[1:, None], (_BASE_ORDER - 1, flat.size))
         dup = _horner(cp, flat) * flat
         u = self.coeff_u[0] + delta
         up = self.coeff_up[0] + dup
@@ -284,7 +283,7 @@ class WarpFactor:
         if self._r[0] != 0.0 or not np.all(np.diff(self._r) > 0.0):
             raise ValueError("node radii must start at 0 and increase strictly")
         self.r_max = float(self._r[-1])
-        # the last patch built, as ((r0, order), patch): sweeps build
+        # the last patch built, as (r0, patch): sweeps build
         # graphs over one base slice again and again
         self._patch_memo = None
         U = _taylor_coeff_block(self.nodes[:, 1], self.nodes[:, 2], _BASE_ORDER)
@@ -322,18 +321,18 @@ class WarpFactor:
             return float(u[0]), float(up[0])
         return u.reshape(r.shape), up.reshape(r.shape)
 
-    def taylor_patch(self, r0: float, order: int = _BASE_ORDER) -> TaylorPatch:
+    def taylor_patch(self, r0: float) -> TaylorPatch:
         """Taylor expansion around r0, for graph builds near one slice.
 
-        The last patch is kept and handed out again for the same r0 and
-        order; callers must not write to it."""
-        key = (float(r0), order)
+        The last patch is kept and handed out again for the same r0;
+        callers must not write to it."""
+        r0 = float(r0)
         memo = self._patch_memo
-        if memo is not None and memo[0] == key:
+        if memo is not None and memo[0] == r0:
             return memo[1]
-        u0, up0 = self.evaluate(key[0])
-        patch = TaylorPatch(key[0], u0, up0, order)
-        self._patch_memo = (key, patch)
+        u0, up0 = self.evaluate(r0)
+        patch = TaylorPatch(r0, u0, up0)
+        self._patch_memo = (r0, patch)
         return patch
 
     def curvature_accel(self, u, up):

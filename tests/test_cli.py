@@ -92,6 +92,25 @@ def test_mass_graph_report(y1_file):
     assert doc["critical"] is False
 
 
+def test_mass_graph_synthesizes_one_jet(monkeypatch, capsys, tmp_path):
+    """The report and the deficit read one surface, built from one jet."""
+    from hawkmass import SphereGrid
+    grids = []
+    jet = SphereGrid.synthesize_jet
+
+    def counted(self, coeffs):
+        grids.append(self.lmax)
+        return jet(self, coeffs)
+
+    monkeypatch.setattr(SphereGrid, "synthesize_jet", counted)
+    path = tmp_path / "phi.json"
+    path.write_text('{"lmax": 2, "coeffs": [[2, 1, 0.05]]}')
+    assert main(["mass", "graph", "--a", "0.5", "--r", "0.3",
+                 "--phi", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["deficit"] < 0.0
+    assert grids == [16]
+
+
 @pytest.mark.parametrize("command", [
     ["slice", "info"],
     ["variation", "second", "--phi", "PHI"],

@@ -23,6 +23,7 @@ from hawkmass import (
     synthesize,
 )
 from hawkmass import graph
+from hawkmass.cli import main
 from hawkmass.graph import _el_potential
 
 
@@ -84,16 +85,19 @@ def test_umbilic_defect_nonnegative(w05):
 def test_deficit_matches_naive_difference(w05):
     phi = bumpy_field(3, seed=12, amp=1.0)
     for t in (1e-2, 1e-3):
-        naive = (build_graph(w05, 0.4, phi, scale=t).hawking_mass()
-                 - slice_geometry(w05, 0.4).hawking_mass)
+        surface = build_graph(w05, 0.4, phi, scale=t)
+        naive = surface.hawking_mass() - slice_geometry(w05, 0.4).hawking_mass
         deficit = hawking_mass_deficit(w05, 0.4, phi, t)
         assert deficit == pytest.approx(naive, abs=1e-14)
+        assert surface.mass_deficit() == deficit
 
 
 def test_deficit_quadratic_scaling(w05):
     """deficit(t)/t^2 is constant in the quadratic regime."""
     phi = bumpy_field(3, seed=13, amp=1.0)
-    r1 = hawking_mass_deficit(w05, 0.0, phi, 1e-4) / 1e-8
+    d1 = hawking_mass_deficit(w05, 0.0, phi, 1e-4)
+    assert build_graph(w05, 0.0, phi, scale=1e-4).mass_deficit() == d1
+    r1 = d1 / 1e-8
     r2 = hawking_mass_deficit(w05, 0.0, phi, 1e-5) / 1e-10
     assert r1 == pytest.approx(r2, rel=1e-5)
     assert r1 < 0.0
@@ -257,6 +261,30 @@ def test_range_guard(w05):
     phi = HarmonicField.single(1, 0, 1.0)
     with pytest.raises(RangeError):
         build_graph(w05, w05.r_max - 0.1, phi, scale=1.0)
+
+
+def test_graph_beyond_patch_reach(w05, tmp_path, capsys):
+    """max|phi| ~ 0.38 exceeds the reach 0.317 of the base-slice patch at
+    r = 0: the graph is built from the global profile, but its deficit
+    would lose the cancellation-free differences, so it is refused."""
+    phi = HarmonicField.single(2, 0, 1.0)
+    s = build_graph(w05, 0.0, phi, scale=0.6)
+    u, up = w05.evaluate(0.0 + 0.6 * synthesize(phi, s.grid))
+    assert np.array_equal(s.u, u)
+    assert np.array_equal(s.uprime, up)
+    assert np.isfinite(s.area) and np.isfinite(s.hawking_mass())
+    with pytest.raises(RangeError, match="perturbation too large"):
+        s.mass_deficit()
+    with pytest.raises(RangeError, match="perturbation too large"):
+        hawking_mass_deficit(w05, 0.0, phi, 0.6)
+    path = tmp_path / "phi.json"
+    path.write_text(phi.to_json())
+    code = main(["mass", "graph", "--a", "0.5", "--r", "0", "--phi",
+                 str(path), "--scale", "0.6"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "perturbation too large" in err
 
 
 def test_surface_report_keys(w05):
