@@ -20,12 +20,16 @@ One builder, ``_graph_surface``, computes a graph's node geometry from the
 jet of phi.  ``GraphSurface.mass_deficit`` forms the deficit against the
 base slice from what it keeps: the derivatives of the graph function and,
 inside the base-slice patch reach, the differences u - u0 and u' - u0'.
+Both run on a block of graphs over one base slice as well, node arrays
+``(B, n_lat, n_lon)`` with one quadrature sum per row; a sweep builds its
+samples that way, and each row equals the graph built on its own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +56,12 @@ class GraphSurface:
     """Geometry of one radial graph, sampled on its geometry grid.
 
     Node arrays all have shape (n_lat, n_lon).  ``area_element`` is the
-    induced area density against the round unit-sphere element.
+    induced area density against the round unit-sphere element.  A block
+    of graphs (``phi`` a block of fields) has node arrays (B, n_lat, n_lon)
+    and arrays of B areas, Willmore integrals and mass deficits; the
+    residual and Q-integral methods take a single graph.  The curvatures
+    past the mean curvature and the two integrals are formed when first
+    read, since the mass deficit needs none of them.
     """
 
     warp: WarpFactor
@@ -65,19 +74,57 @@ class GraphSurface:
     tilt: np.ndarray            # W = sqrt(1 + |grad rho|^2 / u^2)
     area_element: np.ndarray    # u^2 W
     mean_curvature: np.ndarray
-    shape_sq: np.ndarray        # |A|^2
-    gauss_curvature: np.ndarray
-    ricci_normal: np.ndarray
-    area: float
-    willmore: float             # integral of H^2
     _hinv: tuple = field(repr=False, default=None)
-    # (rho_theta, rho_lambda) and the covariant Hessian (tt, tl, ll) of rho
+    # the second fundamental form (tt, tl, ll)
+    _sff: tuple = field(repr=False, default=None)
+    # (rho_theta, rho_lambda), |grad rho|^2 on the unit sphere and the
+    # covariant Hessian (tt, tl, ll) of rho
     _grad: tuple = field(repr=False, default=None)
+    _grad_sq: np.ndarray = field(repr=False, default=None)
     _hess: tuple = field(repr=False, default=None)
     # (u0, u0', u - u0, u' - u0') from the base-slice patch; None beyond
     # the patch reach
     _delta: tuple = field(repr=False, default=None)
     _residual_cache: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def shape_sq(self) -> np.ndarray:
+        """|A|^2 at the nodes."""
+        h_tt, h_tl, h_ll = self._hinv
+        a_tt, a_tl, a_ll = self._sff
+        m_tt = h_tt * a_tt + h_tl * a_tl
+        m_tl = h_tt * a_tl + h_tl * a_ll
+        m_lt = h_tl * a_tt + h_ll * a_tl
+        m_ll = h_tl * a_tl + h_ll * a_ll
+        return m_tt * m_tt + m_ll * m_ll + 2.0 * m_tl * m_lt
+
+    @cached_property
+    def ricci_normal(self) -> np.ndarray:
+        """Ric(nu, nu) of the ambient metric at the nodes."""
+        u, up, grad_sq = self.u, self.uprime, self._grad_sq
+        one_minus_upsq = 1.0 - up * up
+        return (
+            1.0
+            - one_minus_upsq / (u * u)
+            + grad_sq * (one_minus_upsq + u * u) / (2.0 * u**4)
+        ) / (1.0 + grad_sq / (u * u))
+
+    @cached_property
+    def gauss_curvature(self) -> np.ndarray:
+        """Intrinsic curvature, from the Gauss equation with R = 2."""
+        h = self.mean_curvature
+        return 1.0 - self.ricci_normal + 0.5 * (h * h - self.shape_sq)
+
+    @cached_property
+    def area(self):
+        """Area; an array of B areas for a block."""
+        return _node_sum(self.grid.quad_weights * self.area_element)
+
+    @cached_property
+    def willmore(self):
+        """Integral of H^2; an array for a block."""
+        return _node_sum(self.grid.quad_weights * self.area_element
+                         * self.mean_curvature ** 2)
 
     def hawking_mass(self) -> float:
         """Hawking mass with Lambda = 2:
@@ -109,7 +156,7 @@ class GraphSurface:
         hess_tt, hess_tl, hess_ll = self._hess
         h_tt, h_tl, h_ll = self._hinv
         st = self.grid.sin_theta[:, None]
-        grad_sq = rt * rt + (rl / st) ** 2
+        grad_sq = self._grad_sq
         denom = u * u * (1.0 + grad_sq / (u * u))
         slope = 2.0 * up / u
         rl_up = rl / (st * st)
@@ -141,17 +188,18 @@ class GraphSurface:
         qw = self.grid.quad_weights
         area0 = 4.0 * np.pi * u0 * u0
         will0 = 16.0 * np.pi * up0 * up0
-        d_area = float(np.sum(qw * d_area_el))
-        d_will = float(np.sum(qw * d_willmore_el))
+        d_area = _node_sum(qw * d_area_el)
+        d_will = _node_sum(qw * d_willmore_el)
         area = area0 + d_area
         will = will0 + d_will
         s0 = np.sqrt(area0 / (16.0 * np.pi))
         s1 = np.sqrt(area / (16.0 * np.pi))
         d_s = d_area / (16.0 * np.pi * (s0 + s1))
-        return float(
+        deficit = (
             d_s * (1.0 - will / (16.0 * np.pi) - area / (12.0 * np.pi))
             + s0 * (-d_will / (16.0 * np.pi) - d_area / (12.0 * np.pi))
         )
+        return float(deficit) if np.ndim(deficit) == 0 else deficit
 
     def el_residual(self) -> np.ndarray:
         """Pointwise residual of the criticality equation on the nodes."""
@@ -169,11 +217,19 @@ class GraphSurface:
         return float(np.sum(self.grid.quad_weights * self.area_element * q))
 
 
+def _node_sum(values: np.ndarray):
+    """Sum of node values ``(..., n_lat, n_lon)`` over the nodes: one
+    contiguous sum per field, a float for a single field."""
+    total = np.sum(values.reshape(values.shape[:-2] + (-1,)), axis=-1)
+    return float(total) if np.ndim(total) == 0 else total
+
+
 def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
                    scale: float, grid: SphereGrid, jet: dict) -> GraphSurface:
     """The graph r = base_r + scale * phi over the jet of phi on ``grid``:
     its pointwise geometry and integrals, plus what ``mass_deficit``
-    reads."""
+    reads.  A block of fields with its block jet gives a block of graphs;
+    the range check and the patch gate then hold for every row."""
     base_r = float(base_r)
     t = float(scale)
     st = grid.sin_theta[:, None]
@@ -187,6 +243,7 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
         )
 
     patch = w.taylor_patch(base_r)
+    # covers grows with smax, so the largest row decides for the block
     if patch.covers(smax):
         u, up, du, dup = patch.eval_delta(s_shift)
         delta = (patch.coeff_u[0], patch.coeff_up[0], du, dup)
@@ -221,21 +278,6 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     h_ll = (1.0 / (st * st) - rl_up * rl_up / denom) / (u * u)
 
     mean_curv = h_tt * a_tt + 2.0 * h_tl * a_tl + h_ll * a_ll
-    m_tt = h_tt * a_tt + h_tl * a_tl
-    m_tl = h_tt * a_tl + h_tl * a_ll
-    m_lt = h_tl * a_tt + h_ll * a_tl
-    m_ll = h_tl * a_tl + h_ll * a_ll
-    shape_sq = m_tt * m_tt + m_ll * m_ll + 2.0 * m_tl * m_lt
-
-    one_minus_upsq = 1.0 - up * up
-    ric_nn = (
-        1.0
-        - one_minus_upsq / (u * u)
-        + grad_sq * (one_minus_upsq + u * u) / (2.0 * u**4)
-    ) / w_sq
-    gauss = 1.0 - ric_nn + 0.5 * (mean_curv * mean_curv - shape_sq)
-
-    qw = grid.quad_weights
     return GraphSurface(
         warp=w,
         base_r=base_r,
@@ -247,13 +289,10 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
         tilt=tilt,
         area_element=area_el,
         mean_curvature=mean_curv,
-        shape_sq=shape_sq,
-        gauss_curvature=gauss,
-        ricci_normal=ric_nn,
-        area=float(np.sum(qw * area_el)),
-        willmore=float(np.sum(qw * area_el * mean_curv ** 2)),
         _hinv=(h_tt, h_tl, h_ll),
+        _sff=(a_tt, a_tl, a_ll),
         _grad=(rt, rl),
+        _grad_sq=grad_sq,
         _hess=(hess_tt, hess_tl, hess_ll),
         _delta=delta,
     )

@@ -39,6 +39,16 @@ the cosines and sines.  Analysis and the gradient transpose run the same
 two steps backwards and scatter through the same index (the padded
 layout of SHTns: Schaeffer, G^3 14, 2013).  The colatitude nodes are
 Newton-polished Gauss-Legendre nodes.
+
+The syntheses also take a block of B coefficient rows, shape
+``(B, n_modes)``, as SHTns transforms many fields per call.  The block is
+a leading axis on the stack (broadcast) axes of both matmuls:
+``(B, m, branch, l) @ (m, l, 3 * n_lat)`` and then the profile pairs of
+each row, transposed, against the azimuth matrix.  Every row thus goes
+through the same gemm calls, with the same shapes and strides, as a
+single field, and its fields are bitwise those of its own call.  Folding
+B into a matmul's row or column dimension instead would let BLAS pick
+another kernel and change the last bits.
 """
 
 from __future__ import annotations
@@ -187,19 +197,23 @@ class SphereGrid:
     # -- transforms: one batched matmul over the orders m ----------------
 
     def _profiles(self, coeffs: np.ndarray, blocks: int) -> np.ndarray:
-        """Colatitude profiles ``(m, branch, blocks * n_lat)`` of a flat
-        coefficient vector against the first ``blocks`` table blocks."""
+        """Colatitude profiles ``(..., m, branch, blocks * n_lat)`` of flat
+        coefficients ``(..., n_modes)`` against the first ``blocks`` table
+        blocks."""
         coeffs = self._check_coeffs(coeffs)
-        padded = np.append(coeffs, 0.0)[self._gather]       # (m, branch, l)
+        ext = np.zeros(coeffs.shape[:-1] + (self.n_modes + 1,))
+        ext[..., :-1] = coeffs
+        padded = ext[..., self._gather]                 # (..., m, branch, l)
         return padded @ self._table[:, :, : blocks * self.n_lat]
 
     def _azimuth_sum(self, pairs: np.ndarray) -> np.ndarray:
-        """Grid fields from profile pairs ``(m, branch, k, n_lat)``: one
-        matmul against the stacked cosines and sines, shape
-        ``(k, n_lat, n_lon)``."""
-        k = pairs.shape[2]
-        flat = pairs.reshape(self._azimuth.shape[0], k * self.n_lat)
-        return (flat.T @ self._azimuth).reshape(k, self.n_lat, self.n_lon)
+        """Grid fields from profile pairs ``(..., m, branch, k, n_lat)``:
+        one matmul against the stacked cosines and sines, shape
+        ``(..., k, n_lat, n_lon)``."""
+        lead, k = pairs.shape[:-4], pairs.shape[-2]
+        flat = pairs.reshape(lead + (self._azimuth.shape[0], k * self.n_lat))
+        return (np.swapaxes(flat, -1, -2) @ self._azimuth).reshape(
+            lead + (k, self.n_lat, self.n_lon))
 
     def _scatter(self, proj: np.ndarray) -> np.ndarray:
         """Flat coefficients from ``(m, l, branch)`` projections."""
@@ -210,34 +224,41 @@ class SphereGrid:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the field with the given flat coefficients."""
         prof = self._profiles(coeffs, 1)
-        return self._azimuth_sum(prof[:, :, None, :])[0]
+        return self._azimuth_sum(prof[..., None, :])[..., 0, :, :]
 
     def synthesize_jet(self, coeffs: np.ndarray):
         """Values and first/second coordinate derivatives on the grid.
 
+        ``coeffs`` is one flat coefficient vector or a block of them,
+        shape ``(B, n_modes)``; each row of a block gives the bits of its
+        own call.
+
         Returns
         -------
         dict with keys ``f, ft, fl, ftt, ftl, fll`` (t = colatitude,
-        l = longitude), each of shape ``(n_lat, n_lon)``.
+        l = longitude), each of shape ``(n_lat, n_lon)``, or
+        ``(B, n_lat, n_lon)`` for a block.
         """
         nm, nl = self.lmax + 1, self.n_lat
-        prof = self._profiles(coeffs, 3).reshape(nm, 2, 3, nl)
-        pairs = np.empty((nm, 2, 6, nl))
-        pairs[:, :, :3] = prof
-        pairs[:, :, 3:5] = self._dlon[:, :, None, None] * prof[:, ::-1, :2]
-        pairs[:, :, 5] = -(self._dlon[:, 0, None, None] ** 2) * prof[:, :, 0]
-        f, ft, ftt, fl, ftl, fll = self._azimuth_sum(pairs)
+        prof = self._profiles(coeffs, 3)
+        prof = prof.reshape(prof.shape[:-3] + (nm, 2, 3, nl))
+        pairs = np.empty(prof.shape[:-2] + (6, nl))
+        pairs[..., :3, :] = prof
+        pairs[..., 3:5, :] = self._dlon[:, :, None, None] * prof[..., ::-1, :2, :]
+        pairs[..., 5, :] = -(self._dlon[:, 0, None, None] ** 2) * prof[..., 0, :]
+        f, ft, ftt, fl, ftl, fll = np.moveaxis(self._azimuth_sum(pairs), -3, 0)
         return {"f": f, "ft": ft, "fl": fl, "ftt": ftt, "ftl": ftl, "fll": fll}
 
     def synthesize_gradient(self, coeffs: np.ndarray):
         """The ``ft`` and ``fl`` fields of ``synthesize_jet`` alone, read
         from the value and first-derivative tables only."""
         nm, nl = self.lmax + 1, self.n_lat
-        prof = self._profiles(coeffs, 2).reshape(nm, 2, 2, nl)
-        pairs = np.empty((nm, 2, 2, nl))
-        pairs[:, :, 0] = prof[:, :, 1]
-        pairs[:, :, 1] = self._dlon[:, :, None] * prof[:, ::-1, 0]
-        ft, fl = self._azimuth_sum(pairs)
+        prof = self._profiles(coeffs, 2)
+        prof = prof.reshape(prof.shape[:-3] + (nm, 2, 2, nl))
+        pairs = np.empty(prof.shape[:-2] + (2, nl))
+        pairs[..., 0, :] = prof[..., 1, :]
+        pairs[..., 1, :] = self._dlon[:, :, None] * prof[..., ::-1, 0, :]
+        ft, fl = np.moveaxis(self._azimuth_sum(pairs), -3, 0)
         return ft, fl
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
@@ -303,10 +324,10 @@ class SphereGrid:
 
     def _check_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.n_modes,):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != self.n_modes:
             raise ValueError(
-                f"coefficient vector has shape {coeffs.shape}, "
-                f"expected {(self.n_modes,)}"
+                f"coefficients have shape {coeffs.shape}, expected "
+                f"{(self.n_modes,)} or a block (B, {self.n_modes})"
             )
         return coeffs
 
@@ -347,23 +368,28 @@ class SobolevNorms:
     @property
     def c2_bound(self) -> float:
         """Scalar C^2 size used for rescaling: max of the grid maxima."""
-        return max(self.c0, self.c1, self.c2)
+        bound = np.maximum(np.maximum(self.c0, self.c1), self.c2)
+        return float(bound) if np.ndim(bound) == 0 else bound
 
 
 class HarmonicField:
     """A real band-limited field stored by harmonic coefficients.
 
-    It carries no grid: each transform takes the grid it runs on.
+    It carries no grid: each transform takes the grid it runs on.  A
+    block of B fields of one band limit stores its coefficients as rows;
+    ``padded`` and ``degree_energies`` then work row by row.
 
     Parameters
     ----------
-    coeffs : array, shape ((lmax+1)**2,)
+    coeffs : array, shape ((lmax+1)**2,) or (B, (lmax+1)**2)
         Flat real coefficients, index ``l**2 + l + m``.
     """
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        n = coeffs.size
+        if coeffs.ndim not in (1, 2):
+            raise ValueError("coefficients must be a vector or a block of rows")
+        n = coeffs.shape[-1]
         lmax = int(round(np.sqrt(n))) - 1
         if (lmax + 1) ** 2 != n:
             raise ValueError(f"coefficient length {n} is not a perfect square")
@@ -386,18 +412,19 @@ class HarmonicField:
 
     def padded(self, lmax: int) -> np.ndarray:
         """Coefficients zero-padded (or validated) to a larger band limit."""
+        n = (lmax + 1) ** 2
         if lmax < self.lmax:
-            tail = self.coeffs[(lmax + 1) ** 2 :]
-            if np.any(tail != 0.0):
+            if np.any(self.coeffs[..., n:] != 0.0):
                 raise ValueError("cannot truncate nonzero coefficients")
-            return self.coeffs[: (lmax + 1) ** 2].copy()
-        out = np.zeros((lmax + 1) ** 2)
-        out[: self.coeffs.size] = self.coeffs
+            return self.coeffs[..., :n].copy()
+        out = np.zeros(self.coeffs.shape[:-1] + (n,))
+        out[..., : self.coeffs.shape[-1]] = self.coeffs
         return out
 
     def degree_energies(self) -> np.ndarray:
         """Sum of squared coefficients per degree (unit-sphere L^2)."""
-        return np.add.reduceat(self.coeffs**2, np.arange(self.lmax + 1) ** 2)
+        return np.add.reduceat(self.coeffs**2, np.arange(self.lmax + 1) ** 2,
+                               axis=-1)
 
     def mean(self) -> float:
         """Mean over the unit sphere."""
@@ -405,7 +432,7 @@ class HarmonicField:
 
     def remove_mean(self) -> "HarmonicField":
         c = self.coeffs.copy()
-        c[0] = 0.0
+        c[..., 0] = 0.0
         return HarmonicField(c)
 
     def scaled(self, factor: float) -> "HarmonicField":
@@ -488,34 +515,35 @@ def sobolev_norms(field: HarmonicField, u: float = 1.0) -> SobolevNorms:
 
 def _sobolev_norms(field: HarmonicField, u: float, grid: SphereGrid,
                    jet: dict) -> SobolevNorms:
-    """``sobolev_norms`` with the field's jet on ``grid`` already made."""
+    """``sobolev_norms`` with the field's jet on ``grid`` already made.
+
+    A block of fields with its block jet gives one array entry per row,
+    each equal to the row's own call; a single field gives floats."""
     if u <= 0.0:
         raise ValueError("slice radius u must be positive")
     e = field.degree_energies()
     ll = np.arange(field.lmax + 1)
     k = ll * (ll + 1.0)
-    s0 = float(np.sum(e))
-    s1 = float(np.sum(k * e))
-    s2 = float(np.sum(k * k * e))
-    l2_sq = u * u * s0
-    w12_sq = l2_sq + s1
-    w22_sq = w12_sq + s2 / (u * u)
+    l2_sq = u * u * np.sum(e, axis=-1)
+    w12_sq = l2_sq + np.sum(k * e, axis=-1)
+    w22_sq = w12_sq + np.sum(k * k * e, axis=-1) / (u * u)
 
+    nodes = (-2, -1)
     st = grid.sin_theta[:, None]
-    c0 = float(np.max(np.abs(jet["f"])))
     grad_sq = jet["ft"] ** 2 + (jet["fl"] / st) ** 2
-    c1 = float(np.sqrt(np.max(grad_sq))) / u
     # covariant Hessian of the round metric, orthonormal-frame components
     h_tt = jet["ftt"]
     h_tl = (jet["ftl"] - (grid.x / grid.sin_theta)[:, None] * jet["fl"]) / st
     h_ll = (jet["fll"] + (grid.sin_theta * grid.x)[:, None] * jet["ft"]) / st**2
     hess_sq = h_tt**2 + 2.0 * h_tl**2 + h_ll**2
-    c2 = float(np.sqrt(np.max(hess_sq))) / (u * u)
-    return SobolevNorms(
-        l2=float(np.sqrt(l2_sq)),
-        w12=float(np.sqrt(w12_sq)),
-        w22=float(np.sqrt(w22_sq)),
-        c0=c0,
-        c1=c1,
-        c2=c2,
+    norms = dict(
+        l2=np.sqrt(l2_sq),
+        w12=np.sqrt(w12_sq),
+        w22=np.sqrt(w22_sq),
+        c0=np.max(np.abs(jet["f"]), axis=nodes),
+        c1=np.sqrt(np.max(grad_sq, axis=nodes)) / u,
+        c2=np.sqrt(np.max(hess_sq, axis=nodes)) / (u * u),
     )
+    if e.ndim == 1:
+        norms = {name: float(v) for name, v in norms.items()}
+    return SobolevNorms(**norms)

@@ -180,23 +180,32 @@ def slice_second_variation(w: WarpFactor, r: float, phi: HarmonicField) -> float
         + 1/(4 pi^{1/2} |S|^{1/2}) * int |grad phi|^2
         - 3m/(2|S|) * int |grad phi|^2
         + 3m/(4|S|) * H^2 * int (phi - mean)^2 .
+
+    A block of fields gives an array, one value per row.
     """
     u, up = w.evaluate(float(r))
-    m = w.mass
+    return _second_variation_on_slice(w.mass, u, up, phi)
+
+
+def _second_variation_on_slice(m: float, u: float, up: float,
+                               phi: HarmonicField):
+    """``slice_second_variation`` on the slice where the warp factor takes
+    the values u, u', for a sweep that evaluates them once."""
     area = 4.0 * np.pi * u * u
     e = phi.degree_energies()
     ll = np.arange(phi.lmax + 1)
     k = ll * (ll + 1.0)
-    int_lap_sq = float(np.sum(k * k * e)) / (u * u)
-    int_grad_sq = float(np.sum(k * e))
-    int_dev_sq = u * u * float(np.sum(e[1:]))
+    int_lap_sq = np.sum(k * k * e, axis=-1) / (u * u)
+    int_grad_sq = np.sum(k * e, axis=-1)
+    int_dev_sq = u * u * np.sum(e[..., 1:], axis=-1)
     hsq = 4.0 * up * up / (u * u)
-    return float(
+    value = (
         -np.sqrt(area) / (32.0 * np.pi**1.5) * int_lap_sq
         + int_grad_sq / (4.0 * np.sqrt(np.pi * area))
         - 1.5 * m / area * int_grad_sq
         + 0.75 * m / area * hsq * int_dev_sq
     )
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def second_variation_minimal(w: WarpFactor, phi: HarmonicField) -> float:

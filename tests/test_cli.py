@@ -126,6 +126,23 @@ def test_nan_radius_is_a_usage_error(command, y1_file):
     assert "solved range" in err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--r", "nan", "base_r"),
+    ("--r", "inf", "base_r"),
+    ("--a", "nan", "a"),
+])
+def test_sweep_non_finite_radius_is_a_usage_error(flag, value, field):
+    """The sweep rejects a non-finite radius by its config field, not by a
+    flag it does not take."""
+    args = ["--a", "0.5", "--r", "0.0"]
+    args[args.index(flag) + 1] = value
+    code, out, err = run_cli("sweep", "perturb", "--n", "2", *args)
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be finite" in err
+    assert "r_max" not in err
+
+
 def test_mass_graph_missing_phi_file():
     code, _, err = run_cli("mass", "graph", "--a", "0.5", "--r", "0.3",
                            "--phi", "/nonexistent/phi.json")
@@ -244,8 +261,8 @@ def test_usage_error_unknown_flag():
 @pytest.mark.parametrize("flag", [["--rmax", "0.5"], ["--tol", "1e-2"],
                                   ["--workers", "2"]])
 def test_sweep_rejects_solver_flags(flag, capsys):
-    """The sweep solves its own range and runs serially, so solver and
-    worker flags are usage errors."""
+    """The sweep solves its own range and runs in one process, so solver
+    and worker flags are usage errors."""
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "perturb", "--a", "0.5", "--n", "1", *flag])
     assert exc.value.code == 2

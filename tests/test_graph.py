@@ -20,9 +20,10 @@ from hawkmass import (
     hawking_mass_deficit,
     induced_laplacian,
     slice_geometry,
+    sobolev_norms,
     synthesize,
 )
-from hawkmass import graph
+from hawkmass import graph, sphere
 from hawkmass.cli import main
 from hawkmass.graph import _el_potential
 
@@ -285,6 +286,56 @@ def test_graph_beyond_patch_reach(w05, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "perturbation too large" in err
+
+
+@settings(max_examples=20, deadline=None)
+@given(base_r=st.sampled_from([0.0, 0.4]), block=st.integers(1, 17),
+       field_lmax=st.sampled_from([1, 4, 8]), seed=st.integers(0, 2**32 - 1))
+def test_block_norms_and_deficits_match_single_graphs(w05, base_r, block,
+                                                     field_lmax, seed):
+    """The block route of a sweep: each row of the block norms, surface
+    integrals and mass deficits is bitwise the public single-field call on
+    that row."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((block, (field_lmax + 1) ** 2))
+    coeffs[:, 0] = 0.0
+    coeffs *= rng.uniform(1e-6, 1e-2, (block, 1))
+    phi = HarmonicField(coeffs)
+    grid = get_grid(max(2 * field_lmax, 16))
+    jet = grid.synthesize_jet(phi.padded(grid.lmax))
+    u_base = float(w05.taylor_patch(base_r).coeff_u[0])
+    norms = sphere._sobolev_norms(phi, u_base, grid, jet)
+    surface = graph._graph_surface(w05, base_r, phi, 1.0, grid, jet)
+    deficits = surface.mass_deficit()
+    assert deficits.shape == (block,)
+    for row, c in enumerate(coeffs):
+        one = HarmonicField(c)
+        single = sobolev_norms(one, u_base)
+        for name, value in single.__dict__.items():
+            assert type(value) is float
+            assert getattr(norms, name)[row] == value
+        assert norms.c2_bound[row] == single.c2_bound
+        s = build_graph(w05, base_r, one)
+        assert surface.area[row] == s.area
+        assert surface.willmore[row] == s.willmore
+        assert deficits[row] == hawking_mass_deficit(w05, base_r, one)
+        assert type(s.mass_deficit()) is float
+
+
+def test_block_beyond_patch_reach_refuses_its_deficits(w05):
+    """One row past the patch reach sends the whole block to the global
+    profile, and its deficits are refused as for that row alone."""
+    phi = HarmonicField(np.stack([0.01 * HarmonicField.single(2, 0).coeffs,
+                                  0.6 * HarmonicField.single(2, 0).coeffs]))
+    grid = get_grid(16)
+    surface = graph._graph_surface(w05, 0.0, phi, 1.0, grid,
+                                   grid.synthesize_jet(phi.padded(16)))
+    assert np.all(np.isfinite(surface.area))
+    with pytest.raises(RangeError, match="perturbation too large"):
+        surface.mass_deficit()
+    with pytest.raises(RangeError, match="leaves tabulated range"):
+        graph._graph_surface(w05, w05.r_max - 0.1, phi, 1.0, grid,
+                             grid.synthesize_jet(phi.padded(16)))
 
 
 def test_surface_report_keys(w05):

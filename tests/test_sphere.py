@@ -130,6 +130,40 @@ def test_jet_matches_dense_and_per_order_references(lmax, seed):
     assert_rel_close(fl, jet["fl"], 1e-14)
 
 
+@settings(max_examples=30, deadline=None)
+@given(lmax=st.sampled_from([16, 24, 32, 40]), block=st.integers(1, 17),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_synthesis_rows_match_single_calls(lmax, block, seed):
+    """A block of coefficient rows goes through the transforms on the
+    matmul stack axis, so each row's jet, values and gradient are the
+    bits of its own call."""
+    grid = get_grid(lmax)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((block, grid.n_modes)) * rng.uniform(
+        0.0, 2.0, (block, 1))
+    jet = grid.synthesize_jet(coeffs)
+    values = grid.synthesize(coeffs)
+    ft, fl = grid.synthesize_gradient(coeffs)
+    for row, c in enumerate(coeffs):
+        one = grid.synthesize_jet(c)
+        assert one["f"].shape == (grid.n_lat, grid.n_lon)
+        for key, field in one.items():
+            assert jet[key].shape == (block, grid.n_lat, grid.n_lon)
+            assert np.array_equal(jet[key][row], field)
+        assert np.array_equal(values[row], grid.synthesize(c))
+        one_t, one_l = grid.synthesize_gradient(c)
+        assert np.array_equal(ft[row], one_t)
+        assert np.array_equal(fl[row], one_l)
+
+
+def test_synthesis_rejects_bad_coefficient_shapes():
+    grid = get_grid(4)
+    for shape in ((grid.n_modes + 1,), (2, grid.n_modes - 1),
+                  (1, 2, grid.n_modes)):
+        with pytest.raises(ValueError, match="coefficients have shape"):
+            grid.synthesize_jet(np.zeros(shape))
+
+
 @pytest.mark.parametrize("lmax", [1, 2, 5, 16, 33])
 def test_gradient_transpose_is_adjoint_of_gradient(lmax):
     """g @ c == sum(flux_t * ft + flux_l * fl) for the gradient of c."""

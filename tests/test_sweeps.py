@@ -28,6 +28,7 @@ from hawkmass import (
     perturbation_sweep,
     slice_geometry,
     slice_mass_derivative,
+    slice_second_variation,
     sobolev_norms,
     solve_warp_factor,
     weak_stability_margin,
@@ -51,6 +52,15 @@ def test_config_validation():
         small_config(n_samples=0).validate()
     with pytest.raises(ValueError):
         small_config(lmax=1).validate()
+
+
+@pytest.mark.parametrize("name", ["a", "base_r"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_field(name, value):
+    """A non-finite neck radius or base radius is rejected by name, before
+    any warp solve."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        perturbation_sweep(small_config(**{name: value}))
 
 
 def test_config_round_trip():
@@ -118,8 +128,9 @@ def test_draw_matches_degree_loop_bitwise(lmax, seed):
 
 
 def test_sweep_sample_synthesizes_two_jets(monkeypatch):
-    """Per sample, one jet of the unscaled draw for its C^2 rescale and one
-    of the scaled field, shared by its norms and its deficit."""
+    """Per block of samples, one stacked jet of the unscaled draws for
+    their C^2 rescale and one of the scaled fields, shared by their norms
+    and their deficits."""
     grids = []
     jet = SphereGrid.synthesize_jet
 
@@ -128,20 +139,21 @@ def test_sweep_sample_synthesizes_two_jets(monkeypatch):
         return jet(self, coeffs)
 
     monkeypatch.setattr(SphereGrid, "synthesize_jet", counted)
-    counts = {}
-    for n in (1, 4):
+    block = sweeps._SWEEP_BLOCK
+    for n in (1, 4, block, block + 3, 2 * block + 1):
         grids.clear()
         perturbation_sweep(small_config(base_r=0.4, n_samples=n))
-        counts[n] = len(grids)
-    assert counts[4] - counts[1] == 3 * 2
-    assert set(grids) == {16}
+        assert len(grids) == 2 * -(-n // block)
+        assert set(grids) == {16}
 
 
 @pytest.mark.parametrize("base_r", [0.0, 0.4])
 def test_sample_norms_and_deficit_match_public_route(base_r):
-    """A record's c2_norm, w22_norm and deficit are bitwise those of the
-    public sobolev_norms and hawking_mass_deficit on its scaled phi."""
-    cfg = small_config(base_r=base_r, n_samples=6)
+    """A record's c2_norm, w22_norm, deficit and prediction are bitwise
+    those of the public sobolev_norms, hawking_mass_deficit and
+    slice_second_variation on its scaled phi, in a full block and in a
+    partial one."""
+    cfg = small_config(base_r=base_r, n_samples=sweeps._SWEEP_BLOCK + 3)
     records = perturbation_sweep(cfg).records
     w = sweeps.solve_for_config(cfg)
     u_base = float(w.taylor_patch(base_r).coeff_u[0])
@@ -153,6 +165,7 @@ def test_sample_norms_and_deficit_match_public_route(base_r):
         assert rec.c2_norm == norms.c2_bound
         assert rec.w22_norm == norms.w22
         assert rec.deficit == hawking_mass_deficit(w, base_r, phi)
+        assert rec.prediction == 0.5 * slice_second_variation(w, base_r, phi)
 
 
 def test_sweep_negativity_and_ratio(w05):
@@ -184,13 +197,13 @@ def test_sweep_rejects_eps_beyond_patch_reach(monkeypatch):
     """An epsilon the base-slice expansion cannot reach fails up front,
     before any sample runs."""
     ran = []
-    real = sweeps._run_sample
+    real = sweeps._sample_block
 
     def counting(*args):
-        ran.append(args[-1])
+        ran.extend(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(sweeps, "_run_sample", counting)
+    monkeypatch.setattr(sweeps, "_sample_block", counting)
     with pytest.raises(RangeError, match=r"epsilon 0\.5 exceeds the reach"):
         perturbation_sweep(small_config(epsilon=0.5, n_samples=3))
     assert ran == []
