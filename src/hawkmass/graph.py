@@ -16,13 +16,16 @@ Quadrature lives on a geometry grid with twice the band limit of phi
 (minimum 16) to keep the rational nonlinearities from aliasing back into
 the low modes.
 
-One builder, ``_graph_surface``, computes a graph's node geometry from the
-jet of phi.  ``GraphSurface.mass_deficit`` forms the deficit against the
-base slice from what it keeps: the derivatives of the graph function and,
-inside the base-slice patch reach, the differences u - u0 and u' - u0'.
-Both run on a block of graphs over one base slice as well, node arrays
-``(B, n_lat, n_lon)`` with one quadrature sum per row; a sweep builds its
-samples that way, and each row equals the graph built on its own.
+One builder, ``_graph_surface``, forms a graph's node geometry from the
+jet of phi as the base slice plus differences: u - u0 and u' - u0', from
+the base-slice patch (the global profile beyond its reach), give the
+differences of the area element, metric, second fundamental form and mean
+curvature without cancellation, and each full quantity is the round
+slice's plus its difference.  ``GraphSurface.mass_deficit`` only
+integrates the kept differences.  Both run on a block of graphs over one
+base slice as well, node arrays ``(B, n_lat, n_lon)`` with one quadrature
+sum per row; a sweep builds its samples that way, and each row equals the
+graph built on its own.
 """
 
 from __future__ import annotations
@@ -77,12 +80,9 @@ class GraphSurface:
     _hinv: tuple = field(repr=False, default=None)
     # the second fundamental form (tt, tl, ll)
     _sff: tuple = field(repr=False, default=None)
-    # (rho_theta, rho_lambda), |grad rho|^2 on the unit sphere and the
-    # covariant Hessian (tt, tl, ll) of rho
-    _grad: tuple = field(repr=False, default=None)
+    # |grad rho|^2 on the unit sphere
     _grad_sq: np.ndarray = field(repr=False, default=None)
-    _hess: tuple = field(repr=False, default=None)
-    # (u0, u0', u - u0, u' - u0') from the base-slice patch; None beyond
+    # (u0, u0', u^2 W - u0^2, H - H0) against the base slice; None beyond
     # the patch reach
     _delta: tuple = field(repr=False, default=None)
     _residual_cache: np.ndarray = field(repr=False, default=None)
@@ -134,54 +134,25 @@ class GraphSurface:
     def mass_deficit(self) -> float:
         """m_H(graph) - m_H(base slice), evaluated without cancellation.
 
-        Integrand differences are formed pointwise and the mass difference
-        is expanded algebraically.  On the minimal slice (u0' = 0) every
-        difference is quadratic in scale, so deficits keep full relative
-        accuracy down to ~1e-16.  Off it, O(scale) pointwise terms that
-        integrate to 0 only analytically leave roundoff of about
-        eps * scale on an O(scale^2) deficit: at a = 0.5 and base_r 0.4 a
-        random mean-free degree-8 phi's deficit spread by 2.7e-13 (scale
-        1e-4) to 2.3e-11 (scale 1e-6), relative, across geometry band
-        limits 16 to 48.  Raises ``RangeError`` unless the perturbation
-        stays inside the base point's expansion radius.
+        Integrates the area-element and mean-curvature differences the
+        builder keeps, and expands the mass difference algebraically.  On
+        the minimal slice (u0' = 0) every difference is quadratic in
+        scale, so deficits keep full relative accuracy down to ~1e-16.
+        Off it, O(scale) pointwise terms that integrate to 0 only
+        analytically leave roundoff of about eps * scale on an O(scale^2)
+        deficit: at a = 0.5 and base_r 0.4 a random mean-free degree-8
+        phi's deficit spread by 2.7e-13 (scale 1e-4) to 2.3e-11 (scale
+        1e-6), relative, across geometry band limits 16 to 48.  Raises
+        ``RangeError`` unless the perturbation stays inside the base
+        point's expansion radius.
         """
         if self._delta is None:
             raise RangeError(
                 "perturbation too large for the base-slice expansion; "
                 "deficit evaluation needs max|phi| within the local radius"
             )
-        u0, up0, du, dup = self._delta
-        u, up, tilt = self.u, self.uprime, self.tilt
-        rt, rl = self._grad
-        hess_tt, hess_tl, hess_ll = self._hess
-        h_tt, h_tl, h_ll = self._hinv
-        st = self.grid.sin_theta[:, None]
-        grad_sq = self._grad_sq
-        denom = u * u * (1.0 + grad_sq / (u * u))
-        slope = 2.0 * up / u
-        rl_up = rl / (st * st)
-
-        # difference pipeline against the base slice, every term O(scale)
+        u0, up0, d_area_el, d_mean = self._delta
         h0 = -2.0 * up0 / u0
-        tilt_m1 = (grad_sq / (u * u)) / (tilt + 1.0)            # W - 1
-        d_area_el = du * (u + u0) + u * u * tilt_m1             # u^2 W - u0^2
-        d_uup = du * up + u0 * dup                              # u u' - u0 u0'
-        inv_gap = -tilt_m1 / tilt                               # 1/W - 1
-        da_tt = (hess_tt - d_uup - slope * rt * rt) / tilt - u0 * up0 * inv_gap
-        da_tl = (hess_tl - slope * rt * rl) / tilt
-        da_ll = (
-            (hess_ll - d_uup * st * st - slope * rl * rl) / tilt
-            - u0 * up0 * st * st * inv_gap
-        )
-        d_usq_inv = -du * (u + u0) / (u * u * u0 * u0)          # u^-2 - u0^-2
-        dh_tt = d_usq_inv - rt * rt / (denom * u * u)
-        dh_tl = -rt * rl_up / (denom * u * u)
-        dh_ll = d_usq_inv / (st * st) - rl_up * rl_up / (denom * u * u)
-        # H - H0 = dh : A0 + h : dA with A0 = -u0 u0' g_round
-        d_mean = (
-            -u0 * up0 * (dh_tt + st * st * dh_ll)
-            + h_tt * da_tt + 2.0 * h_tl * da_tl + h_ll * da_ll
-        )
         d_willmore_el = (d_mean * (self.mean_curvature + h0) * self.area_element
                          + h0 * h0 * d_area_el)
 
@@ -227,9 +198,10 @@ def _node_sum(values: np.ndarray):
 def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
                    scale: float, grid: SphereGrid, jet: dict) -> GraphSurface:
     """The graph r = base_r + scale * phi over the jet of phi on ``grid``:
-    its pointwise geometry and integrals, plus what ``mass_deficit``
-    reads.  A block of fields with its block jet gives a block of graphs;
-    the range check and the patch gate then hold for every row."""
+    its pointwise geometry, each curvature the base slice's plus a
+    difference formed without cancellation.  A block of fields with its
+    block jet gives a block of graphs; the range check and the patch gate
+    then hold for every row."""
     base_r = float(base_r)
     t = float(scale)
     st = grid.sin_theta[:, None]
@@ -243,41 +215,55 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
         )
 
     patch = w.taylor_patch(base_r)
+    u0, up0 = patch.coeff_u[0], patch.coeff_up[0]
     # covers grows with smax, so the largest row decides for the block
-    if patch.covers(smax):
+    inside = patch.covers(smax)
+    if inside:
         u, up, du, dup = patch.eval_delta(s_shift)
-        delta = (patch.coeff_u[0], patch.coeff_up[0], du, dup)
     else:
         u, up = w.evaluate(base_r + s_shift)
-        delta = None
+        du, dup = u - u0, up - up0
 
-    # first derivatives of rho and the covariant Hessian on the unit sphere
+    # first derivatives of rho on the unit sphere
     rt = t * jet["ft"]
     rl = t * jet["fl"]
-    hess_tt = t * jet["ftt"]
-    hess_tl = t * (jet["ftl"] - (ct / st) * jet["fl"])
-    hess_ll = t * (jet["fll"] + st * ct * jet["ft"])
-
     grad_sq = rt * rt + (rl / st) ** 2          # |grad rho|^2 on unit sphere
     w_sq = 1.0 + grad_sq / (u * u)
     tilt = np.sqrt(w_sq)
     area_el = u * u * tilt
 
-    uup = u * up
+    # differences against the base slice, every term O(scale)
+    tilt_m1 = (grad_sq / (u * u)) / (tilt + 1.0)            # W - 1
+    d_area_el = du * (u + u0) + u * u * tilt_m1             # u^2 W - u0^2
+    d_uup = du * up + u0 * dup                              # u u' - u0 u0'
+    inv_gap = -tilt_m1 / tilt                               # 1/W - 1
     slope = 2.0 * up / u
-    a_tt = (hess_tt - uup - slope * rt * rt) / tilt
-    a_tl = (hess_tl - slope * rt * rl) / tilt
-    a_ll = (hess_ll - uup * st * st - slope * rl * rl) / tilt
-
-    # inverse induced metric, Sherman-Morrison form
+    # second fundamental form minus A0 = -u0 u0' g_round; the covariant
+    # Hessian of rho enters inline, so its node arrays die with each line
+    da_tt = ((t * jet["ftt"] - d_uup - slope * rt * rt) / tilt
+             - u0 * up0 * inv_gap)
+    da_tl = (t * (jet["ftl"] - (ct / st) * jet["fl"])
+             - slope * rt * rl) / tilt
+    da_ll = (
+        (t * (jet["fll"] + st * ct * jet["ft"]) - d_uup * st * st
+         - slope * rl * rl) / tilt
+        - u0 * up0 * st * st * inv_gap
+    )
+    # inverse induced metric, Sherman-Morrison form, minus the round
+    # slice's diag(1, 1 / sin^2) / u0^2; rho_lambda raised
     denom = u * u * w_sq
-    rt_up = rt                                  # raised indices
     rl_up = rl / (st * st)
-    h_tt = (1.0 - rt_up * rt_up / denom) / (u * u)
-    h_tl = -(rt_up * rl_up) / (denom * u * u)
-    h_ll = (1.0 / (st * st) - rl_up * rl_up / denom) / (u * u)
-
-    mean_curv = h_tt * a_tt + 2.0 * h_tl * a_tl + h_ll * a_ll
+    d_usq_inv = -du * (u + u0) / (u * u * u0 * u0)          # u^-2 - u0^-2
+    dh_tt = d_usq_inv - rt * rt / (denom * u * u)
+    dh_ll = d_usq_inv / (st * st) - rl_up * rl_up / (denom * u * u)
+    h_tt = 1.0 / (u0 * u0) + dh_tt
+    h_tl = -rt * rl_up / (denom * u * u)        # the round slice's is 0
+    h_ll = 1.0 / (u0 * u0 * st * st) + dh_ll
+    # H - H0 = dh : A0 + h : dA, with H0 = -2 u0' / u0
+    d_mean = (
+        -u0 * up0 * (dh_tt + st * st * dh_ll)
+        + h_tt * da_tt + 2.0 * h_tl * da_tl + h_ll * da_ll
+    )
     return GraphSurface(
         warp=w,
         base_r=base_r,
@@ -288,13 +274,11 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
         uprime=up,
         tilt=tilt,
         area_element=area_el,
-        mean_curvature=mean_curv,
+        mean_curvature=-2.0 * up0 / u0 + d_mean,
         _hinv=(h_tt, h_tl, h_ll),
-        _sff=(a_tt, a_tl, a_ll),
-        _grad=(rt, rl),
+        _sff=(-u0 * up0 + da_tt, da_tl, -u0 * up0 * st * st + da_ll),
         _grad_sq=grad_sq,
-        _hess=(hess_tt, hess_tl, hess_ll),
-        _delta=delta,
+        _delta=(u0, up0, d_area_el, d_mean) if inside else None,
     )
 
 

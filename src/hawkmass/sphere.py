@@ -54,6 +54,7 @@ another kernel and change the last bits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -451,11 +452,30 @@ class HarmonicField:
 
     @classmethod
     def from_json(cls, text: str) -> "HarmonicField":
+        """Read a ``to_json`` document, {"lmax": L, "coeffs": [[l, m, v],
+        ...]}; a malformed one raises ``ValueError`` naming what is bad."""
         data = json.loads(text)
-        lmax = int(data["lmax"])
+        if not (isinstance(data, dict) and "lmax" in data
+                and isinstance(data.get("coeffs"), list)):
+            raise ValueError('field JSON must be an object with "lmax" and '
+                             'a "coeffs" list')
+        lmax = data["lmax"]
+        if type(lmax) is not int or lmax < 0:
+            raise ValueError(f"field lmax must be an integer >= 0, "
+                             f"got {lmax!r}")
         c = np.zeros((lmax + 1) ** 2)
-        for l, m, v in data["coeffs"]:
-            c[coeff_index(int(l), int(m))] = float(v)
+        for k, entry in enumerate(data["coeffs"]):
+            try:
+                l, m, v = entry
+                ok = (type(l) is int and type(m) is int and abs(m) <= l <= lmax
+                      and type(v) in (int, float) and math.isfinite(v))
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"coefficient entry {k} {entry!r} is not [l, m, value] "
+                    f"with |m| <= l <= lmax {lmax} and a finite value")
+            c[coeff_index(l, m)] = float(v)
         return cls(c)
 
     def __repr__(self):  # pragma: no cover

@@ -273,10 +273,7 @@ def _sample_block(cfg: SweepConfig, w: WarpFactor, c_est: float,
     grid = get_grid(_geometry_lmax(phi.lmax))
     jet = grid.synthesize_jet(phi.padded(grid.lmax))
     norms = _sobolev_norms(phi, u_base, grid, jet)
-    surface = _graph_surface(w, cfg.base_r, phi, 1.0, grid, jet)
-    # the block's peak memory is the deficit's temporaries; free the jet
-    del jet
-    deficits = surface.mass_deficit()
+    deficits = _graph_surface(w, cfg.base_r, phi, 1.0, grid, jet).mass_deficit()
     predictions = 0.5 * _second_variation_on_slice(w.mass, *slice_uv, phi)
     slice_tol = cfg.tolerances.get("slice_norm", _SLICE_NORM_TOL)
     slack = cfg.tolerances.get("ratio_slack", 0.1)

@@ -164,10 +164,11 @@ def _convergence_radius(U):
 
 
 def _horner(coeffs, s):
-    """Evaluate per-column polynomials: coeffs (K+1, n), s (n,)."""
-    res = coeffs[-1].copy()
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        res = res * s + coeffs[k]
+    """Evaluate sum_k coeffs[k] s^k: one coefficient per order, and a
+    float or an array s."""
+    res = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        res = res * s + c
     return res
 
 
@@ -211,23 +212,12 @@ class TaylorPatch:
                       0.0, self.trust, xtol=1.0e-12)
 
     def eval_delta(self, s):
-        """(u, u', u - u(r0), u' - u'(r0)) with both differences summed
-        without their constant terms, so they keep full relative accuracy
-        for small s."""
-        s = np.asarray(s, dtype=float)
-        flat = s.ravel()
-        cu = np.broadcast_to(self.coeff_u[1:, None], (_BASE_ORDER, flat.size))
-        delta = _horner(cu, flat) * flat
-        cp = np.broadcast_to(self.coeff_up[1:, None], (_BASE_ORDER - 1, flat.size))
-        dup = _horner(cp, flat) * flat
-        u = self.coeff_u[0] + delta
-        up = self.coeff_up[0] + dup
-        return (
-            u.reshape(s.shape),
-            up.reshape(s.shape),
-            delta.reshape(s.shape),
-            dup.reshape(s.shape),
-        )
+        """(u, u', u - u(r0), u' - u'(r0)) at offsets s, a float or an
+        array, with both differences summed without their constant terms,
+        so they keep full relative accuracy for small s."""
+        delta = _horner(self.coeff_u[1:], s) * s
+        dup = _horner(self.coeff_up[1:], s) * s
+        return self.coeff_u[0] + delta, self.coeff_up[0] + dup, delta, dup
 
 
 @dataclass

@@ -150,6 +150,27 @@ def test_mass_graph_missing_phi_file():
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("doc, named", [
+    ('{"lmax": 2, "coeffs": [[3, 1, 0.5]]}', "entry 0 [3, 1, 0.5]"),
+    ('{"coeffs": [[1, 0, 0.5]]}', '"lmax"'),
+    ('[[1, 0, 0.5]]', '"lmax"'),
+    ('{"lmax": -1, "coeffs": []}', "lmax must be an integer >= 0"),
+    ('{"lmax": 2, "coeffs": [[1, 0, 0.5], [1, 0, NaN]]}', "entry 1 [1, 0, nan]"),
+    ('{"lmax": 2, "coeffs": [[1, 0]]}', "entry 0 [1, 0]"),
+])
+def test_malformed_phi_file_is_a_usage_error(doc, named, tmp_path):
+    """A malformed --phi document exits 2 with one diagnostic naming the
+    bad entry, not a traceback, an empty field or a range error."""
+    path = tmp_path / "phi.json"
+    path.write_text(doc)
+    code, out, err = run_cli("mass", "graph", "--a", "0.5", "--r", "0.3",
+                             "--phi", str(path))
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_sweep_csv_artifact(tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli("sweep", "perturb", "--a", "0.5", "--r", "0",

@@ -26,6 +26,7 @@ from hawkmass import (
 from hawkmass import graph, sphere
 from hawkmass.cli import main
 from hawkmass.graph import _el_potential
+from hawkmass.warp import TaylorPatch
 
 
 def bumpy_field(lmax, seed, amp=1.0):
@@ -45,6 +46,41 @@ def test_zero_graph_reduces_to_slice(w05):
     assert s.area == pytest.approx(geo.area, rel=1e-14)
     assert s.hawking_mass() == pytest.approx(geo.hawking_mass, abs=1e-13)
     assert_allclose(s.tilt, 1.0, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("base_r", [0.0, 0.4, 1.5])
+def test_zero_graph_is_the_slice_exactly(w05, base_r):
+    """Every difference against the base slice vanishes for phi = 0, so a
+    zero graph, alone or as a block, carries the slice's numbers bit for
+    bit and a deficit of exactly 0."""
+    geo = slice_geometry(w05, base_r)
+    grid = get_grid(16)
+    block = HarmonicField(np.zeros((3, 9)))
+    surfaces = [build_graph(w05, base_r, HarmonicField.zeros(2)),
+                graph._graph_surface(w05, base_r, block, 1.0, grid,
+                                     grid.synthesize_jet(block.padded(16)))]
+    for s in surfaces:
+        assert np.all(s.mean_curvature == geo.mean_curvature)
+        assert np.all(s.area_element == geo.u * geo.u)
+        assert np.all(s.tilt == 1.0)
+        assert np.all(s.mass_deficit() == 0.0)
+
+
+@pytest.mark.parametrize("base_r", [0.4, 1.5])
+def test_global_profile_route_matches_patch_route(w05, monkeypatch, base_r):
+    """With the patch gate closed, the graph is built from the global
+    profile through the same pipeline; its geometry agrees with the patch
+    route to roundoff, and its deficit is refused."""
+    phi = bumpy_field(4, seed=23, amp=0.01)
+    ref = build_graph(w05, base_r, phi)
+    monkeypatch.setattr(TaylorPatch, "covers", lambda self, smax: False)
+    s = build_graph(w05, base_r, phi)
+    for name in ("u", "uprime", "tilt", "area_element", "mean_curvature",
+                 "shape_sq", "gauss_curvature"):
+        got, want = getattr(s, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(RangeError, match="perturbation too large"):
+        s.mass_deficit()
 
 
 def test_gauss_bonnet(w05):
