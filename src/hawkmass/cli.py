@@ -74,7 +74,10 @@ def _load_phi(path: str) -> HarmonicField:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read perturbation file {path}: {exc}") from exc
-    return HarmonicField.from_json(text)
+    try:
+        return HarmonicField.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"perturbation file {path} is not JSON: {exc}") from exc
 
 
 def _cmd_metric_solve(args) -> int:

@@ -61,7 +61,8 @@ class GraphSurface:
     Node arrays all have shape (n_lat, n_lon).  ``area_element`` is the
     induced area density against the round unit-sphere element.  A block
     of graphs (``phi`` a block of fields) has node arrays (B, n_lat, n_lon)
-    and arrays of B areas, Willmore integrals and mass deficits; the
+    and arrays of B areas, Willmore integrals and mass deficits, and its
+    ``scale`` may be an array of per-row scales, shape (B, 1, 1); the
     residual and Q-integral methods take a single graph.  The curvatures
     past the mean curvature and the two integrals are formed when first
     read, since the mass deficit needs none of them.
@@ -196,14 +197,15 @@ def _node_sum(values: np.ndarray):
 
 
 def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
-                   scale: float, grid: SphereGrid, jet: dict) -> GraphSurface:
+                   scale, grid: SphereGrid, jet: dict) -> GraphSurface:
     """The graph r = base_r + scale * phi over the jet of phi on ``grid``:
     its pointwise geometry, each curvature the base slice's plus a
     difference formed without cancellation.  A block of fields with its
-    block jet gives a block of graphs; the range check and the patch gate
-    then hold for every row."""
+    block jet gives a block of graphs, with a float scale or one scale per
+    row, shape (B, 1, 1); the range check and the patch gate then hold for
+    every row, and each row has the bits of its own graph."""
     base_r = float(base_r)
-    t = float(scale)
+    t = scale if np.ndim(scale) else float(scale)
     st = grid.sin_theta[:, None]
     ct = grid.x[:, None]
 
@@ -219,7 +221,7 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     # covers grows with smax, so the largest row decides for the block
     inside = patch.covers(smax)
     if inside:
-        u, up, du, dup = patch.eval_delta(s_shift)
+        u, up, du, dup = patch.eval_delta(s_shift, smax)
     else:
         u, up = w.evaluate(base_r + s_shift)
         du, dup = u - u0, up - up0

@@ -3,10 +3,13 @@
 The sweep demonstrates strict local maximality of the Hawking mass at the
 slices: every small non-constant normal graph loses mass, at the rate
 predicted by the second-variation forms.  Samples run in blocks of
-``_SWEEP_BLOCK``: each sample draws from its own generator, then the block
-goes through one stacked harmonic transform per jet and one array pass of
-graph geometry, with the block on the leading axis.  Each row computes
-the bits of a sample run on its own.  Records are fully deterministic
+``_SWEEP_BLOCK``: each sample draws an unscaled field from its own
+generator, then the block goes through one stacked jet of the unscaled
+fields and one array pass of norms, graph geometry and deficits, with the
+block on the leading axis.  Synthesis and the norms are linear or
+positively homogeneous in the field, so each row scales the unscaled jet
+and norms by its own factor.  Each row computes the bits of a sample run
+on its own through the public calls.  Records are fully deterministic
 functions of the config (per-sample generators seeded by (master_seed,
 index)), so reruns cannot change a byte of the payload; wall-clock
 metadata lives in a separate sidecar dict.
@@ -50,8 +53,9 @@ __all__ = [
 ]
 
 _SLICE_NORM_TOL = 1.0e-8
-# samples per block: the block's temporaries grow with it, and 16 already
-# costs the sweep about 7% of its peak memory for about 15% more speed
+# samples per block, one stacked jet each: the block's node temporaries
+# grow with it, and 16 already costs the sweep about 7% of its peak memory
+# for about 15% more speed
 _SWEEP_BLOCK = 8
 
 
@@ -231,22 +235,26 @@ def build_meta() -> dict:
 
 def draw_perturbation(rng: np.random.Generator, lmax: int, epsilon: float,
                       u_base: float) -> tuple:
-    """Draw one random perturbation field.
+    """Draw one random perturbation: the unscaled field, its C^2 target
+    and its scale.
 
     Coefficients for degrees 1..lmax//2 are standard normal damped by
-    l^{-2}, then rescaled so the C^2 estimate equals a uniform draw in
-    (0, epsilon].  The degree-0 coefficient is never drawn, so the field
-    is mean-free.  The call order (normals for all coefficients, then one
-    uniform) is part of the determinism contract.
+    l^{-2}.  The target is a uniform draw in (0, epsilon], and the scale is
+    the target over the unscaled field's C^2 estimate on the slice of
+    radius u_base, so the sample's graph is r = base_r + scale * raw.  The
+    degree-0 coefficient is never drawn, so the field is mean-free.  The
+    call order (normals for all coefficients, then one uniform) is part of
+    the determinism contract.
     """
-    phi, target, scale = _draw_block([rng], lmax, epsilon, u_base)
-    return HarmonicField(phi.coeffs[0]), float(target[0]), float(scale[0])
+    raw, target, scale = _draw_block([rng], lmax, epsilon, u_base)[:3]
+    return HarmonicField(raw.coeffs[0]), float(target[0]), float(scale[0])
 
 
 def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float) -> tuple:
     """``draw_perturbation`` for a block: one row per generator, each
-    drawn in the contract's order, then one C^2 rescale of the block.
-    Returns the block field and the arrays of targets and scales."""
+    drawn in the contract's order.  Returns the unscaled block field, the
+    arrays of targets and scales, and the geometry grid with the block's
+    jet and norms on it, all unscaled."""
     deg_max = max(1, lmax // 2)
     ll = np.arange(1, deg_max + 1)
     damping = np.repeat(ll * ll, 2 * ll + 1)
@@ -256,31 +264,34 @@ def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float) -> tuple:
         coeffs[row, 1:] = rng.standard_normal(damping.size) / damping
         target[row] = epsilon * (1.0 - rng.uniform())
     raw = HarmonicField(coeffs)
+    # the geometry grid is also the grid sobolev_norms picks
     grid = get_grid(_geometry_lmax(deg_max))
     jet = grid.synthesize_jet(raw.padded(grid.lmax))
-    scale = target / _sobolev_norms(raw, u_base, grid, jet).c2_bound
-    return HarmonicField(coeffs * scale[:, None]), target, scale
+    norms = _sobolev_norms(raw, u_base, grid, jet)
+    return raw, target, target / norms.c2_bound, grid, jet, norms
 
 
 def _sample_block(cfg: SweepConfig, w: WarpFactor, c_est: float,
                   u_base: float, slice_uv: tuple, indices: range) -> list:
-    """The records of samples ``indices``, run as one block."""
+    """The records of samples ``indices``, run as one block.  Row i's
+    norms are the unscaled norms times its scale, and its graph is the
+    unscaled jet at its scale, as ``hawking_mass_deficit(w, base_r, raw_i,
+    scale=s_i)`` builds it."""
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.master_seed, i]))
             for i in indices]
-    phi, _, _ = _draw_block(rngs, cfg.lmax, cfg.epsilon, u_base)
-    # one jet of the drawn block on the geometry grid, which is also the
-    # grid sobolev_norms picks, serves both the norms and the deficits
-    grid = get_grid(_geometry_lmax(phi.lmax))
-    jet = grid.synthesize_jet(phi.padded(grid.lmax))
-    norms = _sobolev_norms(phi, u_base, grid, jet)
-    deficits = _graph_surface(w, cfg.base_r, phi, 1.0, grid, jet).mass_deficit()
+    raw, _, scale, grid, jet, norms = _draw_block(
+        rngs, cfg.lmax, cfg.epsilon, u_base)
+    deficits = _graph_surface(w, cfg.base_r, raw, scale[:, None, None], grid,
+                              jet).mass_deficit()
+    phi = HarmonicField(raw.coeffs * scale[:, None])
     predictions = 0.5 * _second_variation_on_slice(w.mass, *slice_uv, phi)
     slice_tol = cfg.tolerances.get("slice_norm", _SLICE_NORM_TOL)
     slack = cfg.tolerances.get("ratio_slack", 0.1)
     records = []
     for index, c2_norm, w22_norm, deficit, prediction in zip(
-            indices, norms.c2_bound.tolist(), norms.w22.tolist(),
-            deficits.tolist(), predictions.tolist()):
+            indices, (norms.c2_bound * scale).tolist(),
+            (norms.w22 * scale).tolist(), deficits.tolist(),
+            predictions.tolist()):
         if c2_norm < slice_tol:
             records.append(SweepRecord(
                 index=index, seed=cfg.master_seed, c2_norm=c2_norm,

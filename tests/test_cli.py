@@ -157,10 +157,12 @@ def test_mass_graph_missing_phi_file():
     ('{"lmax": -1, "coeffs": []}', "lmax must be an integer >= 0"),
     ('{"lmax": 2, "coeffs": [[1, 0, 0.5], [1, 0, NaN]]}', "entry 1 [1, 0, nan]"),
     ('{"lmax": 2, "coeffs": [[1, 0]]}', "entry 0 [1, 0]"),
+    ("nope", "phi.json is not JSON: Expecting value: line 1 column 1"),
 ])
 def test_malformed_phi_file_is_a_usage_error(doc, named, tmp_path):
     """A malformed --phi document exits 2 with one diagnostic naming the
-    bad entry, not a traceback, an empty field or a range error."""
+    bad entry, or the file when it is not JSON at all, not a traceback, an
+    empty field or a range error."""
     path = tmp_path / "phi.json"
     path.write_text(doc)
     code, out, err = run_cli("mass", "graph", "--a", "0.5", "--r", "0.3",

@@ -358,6 +358,55 @@ def test_block_norms_and_deficits_match_single_graphs(w05, base_r, block,
         assert type(s.mass_deficit()) is float
 
 
+def _damped_field(rng, lmax=8):
+    """Mean-free field with degree-l coefficients N(0, 1) / l^2, the shape
+    of a sweep's unscaled draw."""
+    ll = np.arange(1, lmax + 1)
+    coeffs = np.zeros((lmax + 1) ** 2)
+    coeffs[1:] = rng.standard_normal(coeffs.size - 1) / np.repeat(ll * ll,
+                                                                 2 * ll + 1)
+    return HarmonicField(coeffs)
+
+
+_REFLECTION_SCALES = (1e-2, 1e-4, 1e-6)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), base_r=st.sampled_from([0.4, 1.5]),
+       scale=st.sampled_from(_REFLECTION_SCALES))
+def test_deficit_is_reflection_invariant_bitwise(w05, seed, base_r, scale):
+    """r -> -r is an isometry of the warped product, since u is even, and
+    it maps the graph base_r + scale * phi to -base_r - scale * phi; the
+    two deficits agree bit for bit."""
+    phi = _damped_field(np.random.default_rng(seed))
+    assert (hawking_mass_deficit(w05, -base_r, phi, -scale)
+            == hawking_mass_deficit(w05, base_r, phi, scale))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), base_r=st.sampled_from([0.4, 1.5]),
+       block=st.integers(1, 9))
+def test_block_deficits_at_row_scales_are_reflection_invariant(
+        w05, seed, base_r, block):
+    """A sweep block: unscaled rows, each at its own scale.  Every row is
+    bitwise its own graph at its scale, and the reflected block gives the
+    same deficits bit for bit."""
+    rng = np.random.default_rng(seed)
+    raw = HarmonicField(np.stack([_damped_field(rng).coeffs
+                                  for _ in range(block)]))
+    scale = rng.choice(_REFLECTION_SCALES, block)
+    grid = get_grid(16)
+    jet = grid.synthesize_jet(raw.padded(16))
+    there = graph._graph_surface(w05, base_r, raw, scale[:, None, None],
+                                 grid, jet).mass_deficit()
+    back = graph._graph_surface(w05, -base_r, raw, -scale[:, None, None],
+                                grid, jet).mass_deficit()
+    assert back.tobytes() == there.tobytes()
+    for row, s in enumerate(scale):
+        one = HarmonicField(raw.coeffs[row])
+        assert there[row] == hawking_mass_deficit(w05, base_r, one, float(s))
+
+
 def test_block_beyond_patch_reach_refuses_its_deficits(w05):
     """One row past the patch reach sends the whole block to the global
     profile, and its deficits are refused as for that row alone."""

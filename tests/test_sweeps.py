@@ -89,13 +89,15 @@ def test_draw_is_deterministic():
 
 
 def test_draw_hits_c2_target():
+    """The draw is unscaled; at its scale its C^2 estimate is the target."""
     rng = np.random.default_rng(np.random.SeedSequence([11, 0]))
-    phi, target, _ = draw_perturbation(rng, 16, 1e-2, 0.5)
+    raw, target, scale = draw_perturbation(rng, 16, 1e-2, 0.5)
     assert 0.0 < target <= 1e-2
-    norms = sobolev_norms(phi, 0.5)
+    assert scale == target / sobolev_norms(raw, 0.5).c2_bound
+    norms = sobolev_norms(raw.scaled(scale), 0.5)
     assert norms.c2_bound == pytest.approx(target, rel=1e-12)
-    assert phi.mean() == 0.0
-    assert phi.lmax == 8
+    assert raw.mean() == 0.0
+    assert raw.lmax == 8
 
 
 def _draw_loop_reference(rng, lmax):
@@ -121,16 +123,17 @@ def test_draw_matches_degree_loop_bitwise(lmax, seed):
     ref_rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     coeffs, uniform = _draw_loop_reference(ref_rng, lmax)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-    phi, target, scale = draw_perturbation(rng, lmax, 1e-2, 0.5)
+    raw, target, scale = draw_perturbation(rng, lmax, 1e-2, 0.5)
     assert target == 1e-2 * (1.0 - uniform)
-    assert np.array_equal(phi.coeffs, coeffs * scale)
+    assert np.array_equal(raw.coeffs, coeffs)
+    assert scale == target / sobolev_norms(raw, 0.5).c2_bound
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 
-def test_sweep_sample_synthesizes_two_jets(monkeypatch):
-    """Per block of samples, one stacked jet of the unscaled draws for
-    their C^2 rescale and one of the scaled fields, shared by their norms
-    and their deficits."""
+def test_sweep_block_synthesizes_one_jet(monkeypatch):
+    """Per block of samples, one stacked jet of the unscaled draws, which
+    serves their C^2 rescale, their norms and their deficits, each row at
+    its own scale."""
     grids = []
     jet = SphereGrid.synthesize_jet
 
@@ -143,7 +146,7 @@ def test_sweep_sample_synthesizes_two_jets(monkeypatch):
     for n in (1, 4, block, block + 3, 2 * block + 1):
         grids.clear()
         perturbation_sweep(small_config(base_r=0.4, n_samples=n))
-        assert len(grids) == 2 * -(-n // block)
+        assert len(grids) == -(-n // block)
         assert set(grids) == {16}
 
 
@@ -151,8 +154,8 @@ def test_sweep_sample_synthesizes_two_jets(monkeypatch):
 def test_sample_norms_and_deficit_match_public_route(base_r):
     """A record's c2_norm, w22_norm, deficit and prediction are bitwise
     those of the public sobolev_norms, hawking_mass_deficit and
-    slice_second_variation on its scaled phi, in a full block and in a
-    partial one."""
+    slice_second_variation on its unscaled draw at its scale, in a full
+    block and in a partial one."""
     cfg = small_config(base_r=base_r, n_samples=sweeps._SWEEP_BLOCK + 3)
     records = perturbation_sweep(cfg).records
     w = sweeps.solve_for_config(cfg)
@@ -160,12 +163,13 @@ def test_sample_norms_and_deficit_match_public_route(base_r):
     for rec in records:
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.master_seed, rec.index]))
-        phi, _, _ = draw_perturbation(rng, cfg.lmax, cfg.epsilon, u_base)
-        norms = sobolev_norms(phi, u_base)
-        assert rec.c2_norm == norms.c2_bound
-        assert rec.w22_norm == norms.w22
-        assert rec.deficit == hawking_mass_deficit(w, base_r, phi)
-        assert rec.prediction == 0.5 * slice_second_variation(w, base_r, phi)
+        raw, _, scale = draw_perturbation(rng, cfg.lmax, cfg.epsilon, u_base)
+        norms = sobolev_norms(raw, u_base)
+        assert rec.c2_norm == norms.c2_bound * scale
+        assert rec.w22_norm == norms.w22 * scale
+        assert rec.deficit == hawking_mass_deficit(w, base_r, raw, scale=scale)
+        assert rec.prediction == 0.5 * slice_second_variation(
+            w, base_r, raw.scaled(scale))
 
 
 def test_sweep_negativity_and_ratio(w05):
@@ -220,8 +224,8 @@ def test_sweep_record_seed_is_master_seed():
         assert rec.seed == cfg.master_seed
         rng = np.random.default_rng(
             np.random.SeedSequence([rec.seed, rec.index]))
-        phi, _, _ = draw_perturbation(rng, cfg.lmax, cfg.epsilon, 0.5)
-        assert sobolev_norms(phi, 0.5).c2_bound == rec.c2_norm
+        raw, _, scale = draw_perturbation(rng, cfg.lmax, cfg.epsilon, 0.5)
+        assert sobolev_norms(raw, 0.5).c2_bound * scale == rec.c2_norm
 
 
 def test_sweep_csv_shape():
@@ -452,8 +456,8 @@ def test_foliation_scan_grid_guard(w05):
 def test_convergence_study(w05):
     rng = np.random.default_rng(np.random.SeedSequence([42, 0]))
     u, _ = w05.evaluate(0.3)
-    phi, _, _ = draw_perturbation(rng, 16, 1e-2, u)
-    st = convergence_study(w05, 0.3, phi)
+    raw, _, scale = draw_perturbation(rng, 16, 1e-2, u)
+    st = convergence_study(w05, 0.3, raw.scaled(scale))
     assert isinstance(st, ConvergenceStudy)
     assert st.fd_slope == pytest.approx(2.0, abs=0.2)
     assert all(d < 1e-9 for d in st.mass_diffs)

@@ -159,6 +159,40 @@ def test_taylor_patch_tracks_solution(w05):
     assert_allclose(up_p, up_ref, rtol=0, atol=1e-11)
 
 
+@settings(max_examples=60, deadline=None)
+@given(base_r=st.floats(-2.0, 2.0), frac=st.floats(0.0, 1.0),
+       offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=32))
+@example(base_r=0.0, frac=1.0, offsets=[-0.0])
+@example(base_r=0.0, frac=3e-6, offsets=[1.0, -1.0, 0.25])
+@example(base_r=0.4, frac=3e-2, offsets=[1.0, -1.0])
+def test_eval_delta_order_cut_keeps_the_full_sums(w05, base_r, frac,
+                                                  offsets):
+    """Horner over the orders that count at smax gives the bits of the
+    full 28-order sums at every |s| <= smax, also at base_r = 0, where
+    every odd coefficient of u and every even one of u' is 0."""
+    patch = w05.taylor_patch(base_r)
+    smax = frac * patch.reach()
+    s = np.concatenate([np.array(offsets) * smax,
+                        np.linspace(-smax, smax, 65)])
+    full_du = warp._horner(patch.coeff_u[1:], s) * s
+    full_dup = warp._horner(patch.coeff_up[1:], s) * s
+    u, up, du, dup = patch.eval_delta(s, smax)
+    assert du.tobytes() == full_du.tobytes()
+    assert dup.tobytes() == full_dup.tobytes()
+    assert u.tobytes() == (patch.coeff_u[0] + full_du).tobytes()
+    assert up.tobytes() == (patch.coeff_up[0] + full_dup).tobytes()
+
+
+def test_eval_delta_order_cut_shortens_small_offsets(w05):
+    """At smax = 1e-2 fewer than 20 of the 28 orders run, and at 1e-6
+    fewer than 8."""
+    patch = w05.taylor_patch(0.4)
+    for smax, most in ((1e-2, 20), (1e-6, 8)):
+        assert warp._orders(patch.coeff_u[1:], smax).size < most
+        assert warp._orders(patch.coeff_up[1:], smax).size < most
+    assert warp._orders(patch.coeff_u[1:], 0.0).size == 28
+
+
 def _patch_error(w, patch, smax):
     """max |u_patch - u| and max |u'_patch - u'| over |s| <= smax, against
     the profile's own evaluator."""
