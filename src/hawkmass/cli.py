@@ -53,7 +53,7 @@ def _atomic_write(path: str, text: str) -> None:
 def _emit(args, artifact: str, summary: dict) -> None:
     """Write artifact + sidecar when --out is given, else print it;
     always end with nothing but machine-parseable stdout."""
-    if getattr(args, "out", None):
+    if args.out:
         _atomic_write(args.out, artifact)
         _atomic_write(args.out + ".meta.json",
                       json.dumps(build_meta(), sort_keys=True))
@@ -63,9 +63,7 @@ def _emit(args, artifact: str, summary: dict) -> None:
 
 
 def _solve(args) -> WarpFactor:
-    rmax = getattr(args, "rmax", _DEF_RMAX)
-    tol = getattr(args, "tol", _DEF_TOL)
-    return solve_warp_factor(args.a, rmax, tol=tol)
+    return solve_warp_factor(args.a, args.rmax, tol=args.tol)
 
 
 def _load_phi(path: str) -> HarmonicField:

@@ -63,9 +63,11 @@ class GraphSurface:
     of graphs (``phi`` a block of fields) has node arrays (B, n_lat, n_lon)
     and arrays of B areas, Willmore integrals and mass deficits, and its
     ``scale`` may be an array of per-row scales, shape (B, 1, 1); the
-    residual and Q-integral methods take a single graph.  The curvatures
-    past the mean curvature and the two integrals are formed when first
-    read, since the mass deficit needs none of them.
+    residual and Q-integral take a single graph.  The curvatures past the
+    mean curvature, the two integrals and the Euler-Lagrange residual
+    ``el_residual`` are formed when first read and kept, since the mass
+    deficit needs none of them; the residual's one induced Gram solve is
+    the costliest read.
     """
 
     warp: WarpFactor
@@ -86,7 +88,6 @@ class GraphSurface:
     # (u0, u0', u^2 W - u0^2, H - H0) against the base slice; None beyond
     # the patch reach
     _delta: tuple = field(repr=False, default=None)
-    _residual_cache: np.ndarray = field(repr=False, default=None)
 
     @cached_property
     def shape_sq(self) -> np.ndarray:
@@ -141,9 +142,14 @@ class GraphSurface:
         scale, so deficits keep full relative accuracy down to ~1e-16.
         Off it, O(scale) pointwise terms that integrate to 0 only
         analytically leave roundoff of about eps * scale on an O(scale^2)
-        deficit: at a = 0.5 and base_r 0.4 a random mean-free degree-8
-        phi's deficit spread by 2.7e-13 (scale 1e-4) to 2.3e-11 (scale
-        1e-6), relative, across geometry band limits 16 to 48.  Raises
+        deficit, so the relative floor scales as eps / (scale * |phi|),
+        eps the machine epsilon.  At a = 0.5 a random mean-free degree-8
+        phi with max coefficient 0.3 spread by 2.7e-13 (scale 1e-4) to
+        2.3e-11 (scale 1e-6) at base_r 0.4, relative, across geometry
+        band limits 16 to 48.  The damped fields a sweep draws
+        (coefficients 0.3 N(0, 1) / l^2) are smaller for the same scale:
+        at scale 1e-6 their spread reaches 1.9e-10 to 3.1e-10 at base_r
+        0.4 and 6.7e-10 to 1.1e-9 at base_r 1.5 (median to max).  Raises
         ``RangeError`` unless the perturbation stays inside the base
         point's expansion radius.
         """
@@ -173,14 +179,15 @@ class GraphSurface:
         )
         return float(deficit) if np.ndim(deficit) == 0 else deficit
 
+    @cached_property
     def el_residual(self) -> np.ndarray:
-        """Pointwise residual of the criticality equation on the nodes."""
-        if self._residual_cache is None:
-            self._residual_cache = _el_residual_field(self)
-        return self._residual_cache
+        """Pointwise residual of the criticality equation on the nodes,
+        lap H + (criticality potential) * H; one induced Gram solve."""
+        lap_h = induced_laplacian(self, self.mean_curvature)
+        return lap_h + _el_potential(self) * self.mean_curvature
 
     def el_residual_max(self) -> float:
-        return float(np.max(np.abs(self.el_residual())))
+        return float(np.max(np.abs(self.el_residual)))
 
     def q_integral(self) -> float:
         """Integral of the criticality potential; nonnegative, zero only
@@ -304,6 +311,8 @@ def build_graph(w: WarpFactor, base_r: float, phi: HarmonicField,
     -------
     GraphSurface
     """
+    if not np.isfinite(scale):
+        raise ValueError("scale must be finite")
     if grid_lmax is None:
         grid_lmax = _geometry_lmax(phi.lmax)
     elif grid_lmax < 2 * phi.lmax:
@@ -392,11 +401,6 @@ def _solve_gram(surface: GraphSurface, rhs: np.ndarray) -> np.ndarray:
         f"induced Gram solve did not converge: relative residual {rel:.2e} "
         f"after {_CG_MAX_ITER} iterations (target {_CG_RTOL:.0e})"
     )
-
-
-def _el_residual_field(surface: GraphSurface) -> np.ndarray:
-    lap_h = induced_laplacian(surface, surface.mean_curvature)
-    return lap_h + _el_potential(surface) * surface.mean_curvature
 
 
 def surface_report(surface: GraphSurface) -> dict:

@@ -427,15 +427,6 @@ class HarmonicField:
         return np.add.reduceat(self.coeffs**2, np.arange(self.lmax + 1) ** 2,
                                axis=-1)
 
-    def mean(self) -> float:
-        """Mean over the unit sphere."""
-        return float(self.coeffs[0]) / np.sqrt(4.0 * np.pi)
-
-    def remove_mean(self) -> "HarmonicField":
-        c = self.coeffs.copy()
-        c[..., 0] = 0.0
-        return HarmonicField(c)
-
     def scaled(self, factor: float) -> "HarmonicField":
         return HarmonicField(self.coeffs * float(factor))
 

@@ -1,4 +1,4 @@
-"""Seeded perturbation sweeps, foliation scans, and convergence studies.
+"""Seeded perturbation sweeps and foliation scans.
 
 The sweep demonstrates strict local maximality of the Hawking mass at the
 slices: every small non-constant normal graph loses mass, at the rate
@@ -34,7 +34,6 @@ from .variation import (
     _second_variation_on_slice,
     jacobi_spectrum,
     quadratic_form_report,
-    slice_second_variation,
     weak_stability_margin,
 )
 
@@ -44,11 +43,9 @@ __all__ = [
     "SweepReport",
     "FoliationScan",
     "CriticalPointReport",
-    "ConvergenceStudy",
     "perturbation_sweep",
     "foliation_scan",
     "critical_point_classifier",
-    "convergence_study",
     "build_meta",
 ]
 
@@ -207,12 +204,6 @@ class SweepReport:
                                    else "false" if d[c] is False else d[c])
                              for c in _CSV_COLUMNS])
         return buf.getvalue()
-
-    def first_failure(self):
-        for r in self.records:
-            if not r.ok:
-                return r
-        return None
 
 
 def build_meta() -> dict:
@@ -455,9 +446,6 @@ class CriticalPointReport:
     mean_curvature_max: float
     deviation_norm: float
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
 
 def critical_point_classifier(surface: GraphSurface,
                               tol: float = 1.0e-8) -> CriticalPointReport:
@@ -487,92 +475,10 @@ def critical_point_classifier(surface: GraphSurface,
     )
 
 
-@dataclass
-class ConvergenceStudy:
-    """Resolution study: spectral saturation in the band limit and the
-    O(h^2) order of the finite-difference oracle."""
-
-    a: float
-    base_r: float
-    spectral_value: float
-    grid_lmaxes: tuple
-    masses_by_lmax: list
-    mass_diffs: list
-    fd_steps: tuple
-    fd_values: list
-    fd_errors: list
-    fd_slope: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "base_r": self.base_r,
-                "spectral_value": self.spectral_value,
-                "grid_lmaxes": list(self.grid_lmaxes),
-                "masses_by_lmax": self.masses_by_lmax,
-                "mass_diffs": self.mass_diffs,
-                "fd_steps": list(self.fd_steps),
-                "fd_values": self.fd_values,
-                "fd_errors": self.fd_errors,
-                "fd_slope": self.fd_slope,
-            },
-            sort_keys=True,
-        )
-
-
-def convergence_study(w: WarpFactor, base_r: float, phi: HarmonicField,
-                      fd_steps=(1.0e-2, 1.0e-3, 1.0e-4),
-                      grid_lmaxes=(16, 32, 64)) -> ConvergenceStudy:
-    """Rerun a fixed deficit computation across quadrature band limits and
-    finite-difference steps.
-
-    Band-limited inputs saturate: graph masses agree across grid sizes to
-    quadrature roundoff.  The fd errors against the closed form fit a
-    log-log slope of 2; the stencil runs on a unit-slice-norm rescaling
-    of phi so truncation dominates roundoff at every step.
-    """
-    from .graph import build_graph
-    from .variation import fd_second_variation
-
-    masses = []
-    for lm in grid_lmaxes:
-        if lm < 2 * phi.lmax:
-            raise ValueError("grid band limit below the aliasing floor")
-        s = build_graph(w, base_r, phi, scale=1.0, grid_lmax=int(lm))
-        masses.append(s.hawking_mass())
-    diffs = [abs(masses[i + 1] - masses[i]) for i in range(len(masses) - 1)]
-    u_base, _ = w.evaluate(float(base_r))
-    slice_norm = u_base * float(np.sqrt(np.sum(phi.degree_energies())))
-    if slice_norm <= 0.0:
-        raise ValueError("phi must be nonzero")
-    phi_unit = phi.scaled(1.0 / slice_norm)
-    spectral = slice_second_variation(w, base_r, phi_unit)
-    fd_vals = []
-    fd_errs = []
-    for h in fd_steps:
-        v = fd_second_variation(w, base_r, phi_unit, step=float(h)).value
-        fd_vals.append(v)
-        fd_errs.append(abs(v - spectral))
-    logs = np.log(np.asarray(fd_steps))
-    loge = np.log(np.maximum(np.asarray(fd_errs), 1.0e-300))
-    slope = float(np.polyfit(logs, loge, 1)[0])
-    return ConvergenceStudy(
-        a=w.a, base_r=float(base_r), spectral_value=float(spectral),
-        grid_lmaxes=tuple(int(v) for v in grid_lmaxes),
-        masses_by_lmax=[float(v) for v in masses],
-        mass_diffs=[float(v) for v in diffs],
-        fd_steps=tuple(float(v) for v in fd_steps),
-        fd_values=[float(v) for v in fd_vals],
-        fd_errors=[float(v) for v in fd_errs],
-        fd_slope=slope,
-    )
-
-
 def assert_sweep_passes(report: SweepReport) -> None:
     """Raise InvariantViolation carrying the first offending record."""
     if report.ok:
         return
-    bad = report.first_failure()
+    bad = next(r for r in report.records if not r.ok)
     raise InvariantViolation(
         "sweep invariant failed: " + json.dumps(bad.to_dict(), sort_keys=True))

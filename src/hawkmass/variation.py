@@ -19,7 +19,6 @@ equation).  lambda_0, carried by the constants, is the first eigenvalue.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +100,6 @@ class AreaBoundReport:
     gauss_curvature: float
     ambient_scalar: float
     eigengap: float             # lambda_1(degree 1) - lambda_0 > 0
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 def area_bound_check(area: float, first_eigenvalue: float) -> float:
@@ -259,8 +255,8 @@ def fd_second_variation(w: WarpFactor, r: float, phi: HarmonicField,
     Truncation error is O(h^2); the wide pair supplies the Richardson
     estimate.  Raises RangeError if the +-2h graphs leave the range.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (step > 0.0 and np.isfinite(step)):
+        raise ValueError("step must be positive and finite")
     h = float(step)
     d = {}
     for mult in (1.0, -1.0, 2.0, -2.0):
@@ -344,28 +340,6 @@ class QuadraticFormReport:
     q_by_degree: np.ndarray
     c_est: float
     definite: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "r": self.r,
-                "lmax": self.lmax,
-                "Q_by_degree": [float(v) for v in self.q_by_degree],
-                "C_est": self.c_est,
-                "definite": self.definite,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuadraticFormReport":
-        d = json.loads(text)
-        return cls(
-            a=float(d["a"]), r=float(d["r"]), lmax=int(d["lmax"]),
-            q_by_degree=np.asarray(d["Q_by_degree"], dtype=float),
-            c_est=float(d["C_est"]), definite=bool(d["definite"]),
-        )
 
 
 def quadratic_form_report(w: WarpFactor, r: float, lmax: int) -> QuadraticFormReport:

@@ -143,6 +143,29 @@ def test_sweep_non_finite_radius_is_a_usage_error(flag, value, field):
     assert "r_max" not in err
 
 
+@pytest.mark.parametrize("command, named", [
+    (["mass", "graph", "--scale", "nan"], "scale must be finite"),
+    (["mass", "graph", "--scale", "inf"], "scale must be finite"),
+    (["mass", "graph", "--scale=-inf"], "scale must be finite"),
+    (["variation", "second", "--mode", "fd", "--fd-step", "nan"],
+     "step must be positive and finite"),
+    (["variation", "second", "--mode", "fd", "--fd-step", "inf"],
+     "step must be positive and finite"),
+    (["variation", "second", "--mode", "both", "--fd-step", "nan"],
+     "step must be positive and finite"),
+])
+def test_non_finite_scale_or_step_is_named(command, named, y1_file):
+    """A non-finite --scale or --fd-step exits 2 naming itself, not the
+    radius range, and no numpy warning reaches stderr."""
+    code, out, err = run_cli(*command, "--a", "0.5", "--r", "0.3",
+                             "--phi", y1_file)
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert "solved range" not in err
+    assert "RuntimeWarning" not in err
+
+
 def test_mass_graph_missing_phi_file():
     code, _, err = run_cli("mass", "graph", "--a", "0.5", "--r", "0.3",
                            "--phi", "/nonexistent/phi.json")

@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -294,6 +294,12 @@ def test_aliasing_guard(w05):
         build_graph(w05, 0.3, bumpy_field(6, seed=18), grid_lmax=8)
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_non_finite_scale_guard(w05, scale):
+    with pytest.raises(ValueError, match="scale must be finite"):
+        build_graph(w05, 0.3, HarmonicField.single(1, 0, 1.0), scale=scale)
+
+
 def test_range_guard(w05):
     phi = HarmonicField.single(1, 0, 1.0)
     with pytest.raises(RangeError):
@@ -407,6 +413,119 @@ def test_block_deficits_at_row_scales_are_reflection_invariant(
         assert there[row] == hawking_mass_deficit(w05, base_r, one, float(s))
 
 
+def _rotation_matrix(q):
+    """The rotation of the unit quaternion q = (w, x, y, z)."""
+    w, x, y, z = q
+    return np.array([
+        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z),
+         2.0 * (x * z + w * y)],
+        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z),
+         2.0 * (y * z - w * x)],
+        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x),
+         1.0 - 2.0 * (x * x + y * y)],
+    ])
+
+
+_unit_quaternions = st.lists(st.floats(-1.0, 1.0), min_size=4,
+                             max_size=4).map(np.array).filter(
+    lambda q: np.linalg.norm(q) > 0.1).map(lambda q: q / np.linalg.norm(q))
+
+
+def _grid_points(grid):
+    """Unit vectors of the grid nodes, shape (n_lat, n_lon, 3)."""
+    sin_t = grid.sin_theta[:, None]
+    cos_t = np.broadcast_to(grid.x[:, None], (grid.n_lat, grid.n_lon))
+    return np.stack([sin_t * np.cos(grid.lon), sin_t * np.sin(grid.lon),
+                     cos_t], axis=-1)
+
+
+def _field_at(phi, points):
+    """phi at arbitrary unit vectors, from the normalized Legendre values
+    and the real-harmonic azimuth convention of the transforms."""
+    x = np.clip(points[..., 2], -1.0, 1.0).ravel()
+    lon = np.arctan2(points[..., 1], points[..., 0]).ravel()
+    # a rotated node can land on a pole, where only the derivative rows,
+    # unread here, divide by sin(theta) = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = sphere._legendre_tables(phi.lmax, x)[:, :, 0]
+    # the tables take sin(theta) = sqrt(1 - x^2), which loses half the
+    # digits near a pole; order m carries it as a factor sin^m, so swap
+    # in sin(theta) from the point itself
+    sin_x = np.sqrt(1.0 - x * x)
+    sin_p = np.hypot(points[..., 0], points[..., 1]).ravel()
+    ratio = np.divide(sin_p, sin_x, out=np.zeros_like(x), where=sin_x > 0.0)
+    p = p * ratio ** np.arange(phi.lmax + 1)[:, None, None]
+    c = phi.coeffs
+    out = np.zeros(x.size)
+    for l in range(phi.lmax + 1):
+        out += c[coeff_index(l, 0)] * p[0, l] / np.sqrt(2.0 * np.pi)
+        for m in range(1, l + 1):
+            out += (c[coeff_index(l, m)] * np.cos(m * lon)
+                    + c[coeff_index(l, -m)] * np.sin(m * lon)
+                    ) * p[m, l] / np.sqrt(np.pi)
+    return out.reshape(points.shape[:-1])
+
+
+def _rotated(phi, rot):
+    """The field x -> phi(rot^T x): phi at the rotated nodes of its own
+    band-limit grid, analyzed back, which is exact for a band-limited
+    field."""
+    grid = get_grid(phi.lmax)
+    return analyze(grid, _field_at(phi, _grid_points(grid) @ rot))
+
+
+def test_rotation_evaluator_matches_synthesize():
+    """The test-side evaluator reproduces the transforms at the nodes, so
+    the rotated fields below are phi's rotations to roundoff."""
+    phi = _damped_field(np.random.default_rng(3)).scaled(0.3)
+    grid = get_grid(16)
+    assert_allclose(_field_at(phi, _grid_points(grid)), synthesize(phi, grid),
+                    rtol=0, atol=1e-15)
+    assert_allclose(_rotated(phi, np.eye(3)).coeffs, phi.coeffs,
+                    rtol=0, atol=1e-15)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=_unit_quaternions)
+# a half turn that takes the node (1, 0, 0) onto the pole
+@example(seed=0, q=np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0))
+def test_sobolev_norms_are_rotation_invariant(seed, q):
+    """The Sobolev parts of the norms depend only on the degree energies,
+    which a rotation keeps; the C^k parts are grid maxima and are not
+    invariant."""
+    phi = _damped_field(np.random.default_rng(seed)).scaled(0.3)
+    psi = _rotated(phi, _rotation_matrix(q))
+    assert_allclose(psi.degree_energies(), phi.degree_energies(),
+                    rtol=0, atol=1e-14)
+    n_phi, n_psi = sobolev_norms(phi, 0.5), sobolev_norms(psi, 0.5)
+    for name in ("l2", "w12", "w22"):
+        assert getattr(n_psi, name) == pytest.approx(getattr(n_phi, name),
+                                                     rel=1e-13)
+
+
+@settings(max_examples=32, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=_unit_quaternions,
+       base_r=st.sampled_from([0.0, 0.4, 1.5]),
+       scale=st.sampled_from([1e-4, 1e-6]))
+def test_deficit_and_area_are_rotation_invariant(w05, seed, q, base_r,
+                                                 scale):
+    """A rotation of the sphere factor is an isometry of the warped
+    product, so a rotated graph has the same area and mass deficit.  On
+    the minimal slice the deficit keeps full relative accuracy; off it the
+    bound is the roundoff floor of the deficit, about eps / (scale *
+    |phi|), with at least 5x headroom over the spread measured on these
+    fields.  Scale 1e-2 is left out: there the geometry grid aliases the
+    non-polynomial geometry, and a rotation moves that by ~1e-10."""
+    phi = _damped_field(np.random.default_rng(seed)).scaled(0.3)
+    psi = _rotated(phi, _rotation_matrix(q))
+    there = build_graph(w05, base_r, phi, scale)
+    back = build_graph(w05, base_r, psi, scale)
+    assert back.area == pytest.approx(there.area, rel=1e-14)
+    bound = 1e-13 if base_r == 0.0 else 1e-14 / scale
+    assert back.mass_deficit() == pytest.approx(there.mass_deficit(),
+                                                rel=bound)
+
+
 def test_block_beyond_patch_reach_refuses_its_deficits(w05):
     """One row past the patch reach sends the whole block to the global
     profile, and its deficits are refused as for that row alone."""
@@ -421,6 +540,26 @@ def test_block_beyond_patch_reach_refuses_its_deficits(w05):
     with pytest.raises(RangeError, match="leaves tabulated range"):
         graph._graph_surface(w05, w05.r_max - 0.1, phi, 1.0, grid,
                              grid.synthesize_jet(phi.padded(16)))
+
+
+def test_mass_graph_report_makes_one_gram_solve(w05, monkeypatch):
+    """``mass graph`` reads the residual twice, through the report and the
+    classifier; the surface keeps it, so only one Gram solve runs."""
+    from hawkmass import critical_point_classifier, surface_report
+
+    solves = []
+    solve = graph._solve_gram
+
+    def counted(surface, rhs):
+        solves.append(surface)
+        return solve(surface, rhs)
+
+    monkeypatch.setattr(graph, "_solve_gram", counted)
+    s = build_graph(w05, 0.3, HarmonicField.single(2, 1, 1.0), scale=0.01)
+    report = surface_report(s)
+    cls = critical_point_classifier(s)
+    assert len(solves) == 1
+    assert cls.residual_max == report["el_residual_max"]
 
 
 def test_surface_report_keys(w05):

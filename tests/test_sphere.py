@@ -288,14 +288,6 @@ def test_sweep_records_pinned_at_minimal_slice():
     assert_allclose(got, pinned, rtol=1e-14, atol=0)
 
 
-def test_field_mean_and_removal():
-    field = HarmonicField(np.array([2.0, 0.5, -1.0, 0.25]))
-    assert field.mean() == pytest.approx(2.0 / np.sqrt(4.0 * np.pi), rel=1e-15)
-    bare = field.remove_mean()
-    assert bare.coeffs[0] == 0.0
-    assert_allclose(bare.coeffs[1:], field.coeffs[1:], rtol=0, atol=0)
-
-
 def test_degree_energies():
     field = HarmonicField(np.array([1.0, 1.0, 2.0, -2.0]))
     assert_allclose(field.degree_energies(), [1.0, 9.0], rtol=0, atol=0)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkmass import (
-    ConvergenceStudy,
     FoliationScan,
     HarmonicField,
     InvariantViolation,
@@ -19,9 +18,9 @@ from hawkmass import (
     SweepConfig,
     WarpFactor,
     build_graph,
-    convergence_study,
     critical_point_classifier,
     draw_perturbation,
+    fd_second_variation,
     foliation_scan,
     hawking_mass_deficit,
     jacobi_spectrum,
@@ -96,7 +95,7 @@ def test_draw_hits_c2_target():
     assert scale == target / sobolev_norms(raw, 0.5).c2_bound
     norms = sobolev_norms(raw.scaled(scale), 0.5)
     assert norms.c2_bound == pytest.approx(target, rel=1e-12)
-    assert raw.mean() == 0.0
+    assert raw.coeffs[0] == 0.0
     assert raw.lmax == 8
 
 
@@ -453,22 +452,35 @@ def test_foliation_scan_grid_guard(w05):
         foliation_scan(w05, [0.0])
 
 
-def test_convergence_study(w05):
+def _sweep_draw_at(w, base_r):
+    """The first sample a seed-42 sweep at base_r draws, at its scale."""
     rng = np.random.default_rng(np.random.SeedSequence([42, 0]))
-    u, _ = w05.evaluate(0.3)
+    u, _ = w.evaluate(base_r)
     raw, _, scale = draw_perturbation(rng, 16, 1e-2, u)
-    st = convergence_study(w05, 0.3, raw.scaled(scale))
-    assert isinstance(st, ConvergenceStudy)
-    assert st.fd_slope == pytest.approx(2.0, abs=0.2)
-    assert all(d < 1e-9 for d in st.mass_diffs)
-    assert st.fd_errors[0] > st.fd_errors[1] > st.fd_errors[2]
-    doc = json.loads(st.to_json())
-    assert doc["grid_lmaxes"] == [16, 32, 64]
+    return raw.scaled(scale)
 
 
-def test_convergence_study_guards(w05):
-    phi = HarmonicField.single(1, 0, 1.0)
-    with pytest.raises(ValueError):
-        convergence_study(w05, 0.3, HarmonicField.zeros(2))
-    with pytest.raises(ValueError):
-        convergence_study(w05, 0.3, phi, grid_lmaxes=(1,))
+def test_fd_oracle_second_order(w05):
+    """The fd oracle's error against the closed form falls as step^2 on a
+    unit-slice-norm field, so truncation dominates roundoff at every
+    step."""
+    phi = _sweep_draw_at(w05, 0.3)
+    u, _ = w05.evaluate(0.3)
+    phi_unit = phi.scaled(1.0 / (u * np.sqrt(np.sum(phi.degree_energies()))))
+    spectral = slice_second_variation(w05, 0.3, phi_unit)
+    steps = np.array([1e-2, 1e-3, 1e-4])
+    errors = np.array([
+        abs(fd_second_variation(w05, 0.3, phi_unit, step=h).value - spectral)
+        for h in steps])
+    assert errors[0] > errors[1] > errors[2]
+    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    assert slope == pytest.approx(2.0, abs=0.2)
+
+
+def test_graph_mass_saturates_in_grid_band_limit(w05):
+    """A band-limited graph's Hawking mass is the same on every geometry
+    grid past the aliasing floor."""
+    phi = _sweep_draw_at(w05, 0.3)
+    masses = [build_graph(w05, 0.3, phi, grid_lmax=lm).hawking_mass()
+              for lm in (16, 32, 64)]
+    assert max(masses) - min(masses) < 1e-9
