@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -98,19 +99,7 @@ def _cmd_metric_solve(args) -> int:
 def _cmd_slice_info(args) -> int:
     w = _solve(args)
     geo = slice_geometry(w, args.r)
-    doc = {
-        "a": w.a,
-        "r": geo.r,
-        "u": geo.u,
-        "uprime": geo.uprime,
-        "area": geo.area,
-        "mean_curvature": geo.mean_curvature,
-        "shape_operator_sq": geo.shape_operator_sq,
-        "gauss_curvature": geo.gauss_curvature,
-        "ricci_normal": geo.ricci_normal,
-        "hawking_mass": geo.hawking_mass,
-        "conserved_mass": w.mass,
-    }
+    doc = {**asdict(geo), "a": w.a, "conserved_mass": w.mass}
     _emit(args, json.dumps(doc, sort_keys=True), doc)
     return 0
 
@@ -134,14 +123,8 @@ def _cmd_mass_graph(args) -> int:
 def _cmd_spectrum_jacobi(args) -> int:
     w = _solve(args)
     spec = jacobi_spectrum(w, args.r, args.lmax)
-    doc = {
-        "a": spec.a,
-        "r": spec.r,
-        "u": spec.u,
-        "potential": spec.potential,
-        "first_eigenvalue": spec.first_eigenvalue,
-        "lambda_by_degree": [float(v) for v in spec.lambda_by_degree],
-    }
+    doc = {**asdict(spec), "first_eigenvalue": spec.first_eigenvalue,
+           "lambda_by_degree": spec.lambda_by_degree.tolist()}
     _emit(args, json.dumps(doc, sort_keys=True), doc)
     return 0
 

@@ -2,11 +2,14 @@
 
 The sweep demonstrates strict local maximality of the Hawking mass at the
 slices: every small non-constant normal graph loses mass, at the rate
-predicted by the second-variation forms.  Samples run in blocks of
-``_SWEEP_BLOCK``: each sample draws an unscaled field from its own
-generator, then the block goes through one stacked jet of the unscaled
-fields and one array pass of norms, graph geometry and deficits, with the
-block on the leading axis.  Synthesis and the norms are linear or
+predicted by the second-variation forms.  The per-degree coefficients q_l
+of one ``quadratic_form_report`` give both the coercivity constant C_est
+and each sample's prediction, half of u^2 sum_l q_l E_l over its degree
+energies, which is ``slice_second_variation``'s closed form.  Samples run
+in blocks of ``_SWEEP_BLOCK``: each sample draws an unscaled field from
+its own generator, then the block goes through one stacked jet of the
+unscaled fields and one array pass of norms, graph geometry and deficits,
+with the block on the leading axis.  Synthesis and the norms are linear or
 positively homogeneous in the field, so each row scales the unscaled jet
 and norms by its own factor.  Each row computes the bits of a sample run
 on its own through the public calls.  Records are fully deterministic
@@ -22,7 +25,7 @@ import io
 import json
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .graph import GraphSurface, _graph_surface
 from .sphere import HarmonicField, _geometry_lmax, _sobolev_norms, get_grid
 from .warp import WarpFactor, _brent, slice_geometry, slice_mass_derivative
 from .variation import (
-    _second_variation_on_slice,
+    QuadraticFormReport,
     jacobi_spectrum,
     quadratic_form_report,
     weak_stability_margin,
@@ -49,7 +52,6 @@ __all__ = [
     "build_meta",
 ]
 
-_SLICE_NORM_TOL = 1.0e-8
 # samples per block, one stacked jet each: the block's node temporaries
 # grow with it, and 16 already costs the sweep about 7% of its peak memory
 # for about 15% more speed
@@ -74,7 +76,7 @@ class SweepConfig:
     lmax: int = 16
     tolerances: dict = field(default_factory=lambda: {
         "ratio_slack": 0.1,
-        "slice_norm": _SLICE_NORM_TOL,
+        "slice_norm": 1.0e-8,
     })
 
     def validate(self) -> None:
@@ -87,17 +89,17 @@ class SweepConfig:
             raise ValueError("n_samples must be >= 1")
         if self.lmax < 2:
             raise ValueError("lmax must be >= 2")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
+        for key in ("ratio_slack", "slice_norm"):
+            if key not in self.tolerances:
+                raise ValueError(f"tolerances must hold {key}")
+            if not (np.isfinite(self.tolerances[key])
+                    and self.tolerances[key] >= 0.0):
+                raise ValueError(f"tolerances {key} must be finite and >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "base_r": self.base_r,
-            "epsilon": self.epsilon,
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-            "lmax": self.lmax,
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
@@ -131,17 +133,9 @@ class SweepRecord:
     kind: str       # "graph" or "slice" (constant perturbations)
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "c2_norm": self.c2_norm,
-            "w22_norm": self.w22_norm,
-            "deficit": self.deficit,
-            "prediction": self.prediction,
-            "ratio": self.ratio,
-            "pass": self.ok,
-            "kind": self.kind,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("ok")
+        return doc
 
 
 _CSV_COLUMNS = ["index", "seed", "c2_norm", "w22_norm", "deficit",
@@ -262,12 +256,14 @@ def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float) -> tuple:
     return raw, target, target / norms.c2_bound, grid, jet, norms
 
 
-def _sample_block(cfg: SweepConfig, w: WarpFactor, c_est: float,
-                  u_base: float, slice_uv: tuple, indices: range) -> list:
+def _sample_block(cfg: SweepConfig, w: WarpFactor, form: QuadraticFormReport,
+                  u_base: float, indices: range) -> list:
     """The records of samples ``indices``, run as one block.  Row i's
     norms are the unscaled norms times its scale, and its graph is the
     unscaled jet at its scale, as ``hawking_mass_deficit(w, base_r, raw_i,
-    scale=s_i)`` builds it."""
+    scale=s_i)`` builds it.  Its prediction is half of u^2 sum_l q_l E_l
+    over its scaled field, with the q_l of ``form``, the report that also
+    gives C_est, as ``slice_second_variation`` evaluates it."""
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.master_seed, i]))
             for i in indices]
     raw, _, scale, grid, jet, norms = _draw_block(
@@ -275,9 +271,11 @@ def _sample_block(cfg: SweepConfig, w: WarpFactor, c_est: float,
     deficits = _graph_surface(w, cfg.base_r, raw, scale[:, None, None], grid,
                               jet).mass_deficit()
     phi = HarmonicField(raw.coeffs * scale[:, None])
-    predictions = 0.5 * _second_variation_on_slice(w.mass, *slice_uv, phi)
-    slice_tol = cfg.tolerances.get("slice_norm", _SLICE_NORM_TOL)
-    slack = cfg.tolerances.get("ratio_slack", 0.1)
+    q = form.q_by_degree[:phi.lmax + 1]
+    predictions = 0.5 * u_base * u_base * np.sum(
+        q * phi.degree_energies(), axis=-1)
+    slice_tol = cfg.tolerances["slice_norm"]
+    slack = cfg.tolerances["ratio_slack"]
     records = []
     for index, c2_norm, w22_norm, deficit, prediction in zip(
             indices, (norms.c2_bound * scale).tolist(),
@@ -289,7 +287,7 @@ def _sample_block(cfg: SweepConfig, w: WarpFactor, c_est: float,
                 w22_norm=w22_norm, deficit=deficit, prediction=0.0,
                 ratio=0.0, ok=abs(deficit) < 1.0e-12, kind="slice"))
             continue
-        bound = -(c_est / 4.0) * w22_norm ** 2
+        bound = -(form.c_est / 4.0) * w22_norm ** 2
         ratio = deficit / bound
         ok = (deficit < 0.0) and (ratio >= 1.0 - slack)
         records.append(SweepRecord(
@@ -318,17 +316,14 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
         raise RangeError(
             f"epsilon {cfg.epsilon:g} exceeds the reach {patch.reach():.3g} "
             f"of the base-slice expansion at base_r {cfg.base_r:g}")
-    c_est = quadratic_form_report(w, cfg.base_r, cfg.lmax).c_est
-    # the slice radius that scales the norms, and u, u' of the base slice
-    # for the predictions
+    form = quadratic_form_report(w, cfg.base_r, cfg.lmax)
+    # the slice radius that scales the norms and the predictions
     u_base = float(patch.coeff_u[0])
-    slice_uv = w.evaluate(float(cfg.base_r))
     records = []
     for start in range(0, cfg.n_samples, _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, cfg.n_samples)
-        records += _sample_block(cfg, w, c_est, u_base, slice_uv,
-                                 range(start, stop))
-    return SweepReport(config=cfg, records=records, c_est=c_est)
+        records += _sample_block(cfg, w, form, u_base, range(start, stop))
+    return SweepReport(config=cfg, records=records, c_est=form.c_est)
 
 
 _WARP_CACHE: dict = {}
@@ -364,23 +359,9 @@ class FoliationScan:
     margin_flip_radius: float | None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "conserved_mass": self.conserved_mass,
-                "r_values": [float(v) for v in self.r_values],
-                "masses": [float(v) for v in self.masses],
-                "mass_deviation_max": self.mass_deviation_max,
-                "mass_derivative_max": self.mass_derivative_max,
-                "mean_curvatures": [float(v) for v in self.mean_curvatures],
-                "h_sign_ok": self.h_sign_ok,
-                "dh_dr_at_zero": self.dh_dr_at_zero,
-                "first_eigenvalue_minimal": self.first_eigenvalue_minimal,
-                "margins": [float(v) for v in self.margins],
-                "margin_flip_radius": self.margin_flip_radius,
-            },
-            sort_keys=True,
-        )
+        doc = {k: v.tolist() if isinstance(v, np.ndarray) else v
+               for k, v in asdict(self).items()}
+        return json.dumps(doc, sort_keys=True)
 
 
 def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:

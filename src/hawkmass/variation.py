@@ -169,38 +169,22 @@ def second_variation_by_degree(w: WarpFactor, r: float, lmax: int) -> np.ndarray
 def slice_second_variation(w: WarpFactor, r: float, phi: HarmonicField) -> float:
     """Second derivative of the Hawking mass along the graph family of phi.
 
-    Closed form over the slice at radius r: with the slice area |S|,
-    conserved mass m and slice mean curvature H,
+    The paper's closed form over the slice at radius r: with the slice
+    area |S|, conserved mass m and slice mean curvature H,
 
         -|S|^{1/2}/(32 pi^{3/2}) * int (lap phi)^2
         + 1/(4 pi^{1/2} |S|^{1/2}) * int |grad phi|^2
         - 3m/(2|S|) * int |grad phi|^2
         + 3m/(4|S|) * H^2 * int (phi - mean)^2 .
 
+    Each integral is diagonal over harmonic degrees, so the form is
+    evaluated as u^2 * sum_l q_l E_l with q_l from
+    ``second_variation_by_degree`` and E_l the degree energies of phi.
     A block of fields gives an array, one value per row.
     """
-    u, up = w.evaluate(float(r))
-    return _second_variation_on_slice(w.mass, u, up, phi)
-
-
-def _second_variation_on_slice(m: float, u: float, up: float,
-                               phi: HarmonicField):
-    """``slice_second_variation`` on the slice where the warp factor takes
-    the values u, u', for a sweep that evaluates them once."""
-    area = 4.0 * np.pi * u * u
-    e = phi.degree_energies()
-    ll = np.arange(phi.lmax + 1)
-    k = ll * (ll + 1.0)
-    int_lap_sq = np.sum(k * k * e, axis=-1) / (u * u)
-    int_grad_sq = np.sum(k * e, axis=-1)
-    int_dev_sq = u * u * np.sum(e[..., 1:], axis=-1)
-    hsq = 4.0 * up * up / (u * u)
-    value = (
-        -np.sqrt(area) / (32.0 * np.pi**1.5) * int_lap_sq
-        + int_grad_sq / (4.0 * np.sqrt(np.pi * area))
-        - 1.5 * m / area * int_grad_sq
-        + 0.75 * m / area * hsq * int_dev_sq
-    )
+    u, _ = w.evaluate(float(r))
+    q = second_variation_by_degree(w, r, phi.lmax)
+    value = u * u * np.sum(q * phi.degree_energies(), axis=-1)
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -166,6 +166,50 @@ def test_non_finite_scale_or_step_is_named(command, named, y1_file):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-1"],
+                                  ["--seed", "-42", "--r", "0.4"]])
+def test_sweep_negative_seed_is_named(seed, monkeypatch, capsys):
+    """A negative --seed exits 2 naming the config field, before the warp
+    solve and with nothing on stdout."""
+    from hawkmass import sweeps
+
+    solves = []
+    monkeypatch.setattr(sweeps, "solve_for_config", solves.append)
+    assert main(["sweep", "perturb", "--a", "0.5", "--n", "4", *seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "master_seed must be >= 0" in captured.err
+    assert solves == []
+
+
+def test_artifact_keys_are_dataclass_fields(capsys):
+    """Each artifact holds its dataclass's fields plus the documented
+    extras, and nothing else."""
+    from dataclasses import fields
+
+    from hawkmass import (FoliationScan, JacobiSpectrum, SliceGeometry,
+                          SweepConfig, SweepRecord)
+
+    def keys(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    assert set(keys("slice", "info", "--a", "0.5", "--r", "0.4")) == (
+        names(SliceGeometry) | {"a", "conserved_mass"})
+    assert set(keys("spectrum", "jacobi", "--a", "0.5", "--r", "0.4")) == (
+        names(JacobiSpectrum) | {"first_eigenvalue"})
+    assert set(keys("scan", "foliation", "--a", "0.5", "--slices", "8")) == (
+        names(FoliationScan))
+    doc = keys("sweep", "perturb", "--a", "0.5", "--n", "2", "--format",
+               "json")
+    assert set(doc["config"]) == names(SweepConfig)
+    for record in doc["records"]:
+        assert set(record) == names(SweepRecord) - {"ok"} | {"pass"}
+
+
 def test_mass_graph_missing_phi_file():
     code, _, err = run_cli("mass", "graph", "--a", "0.5", "--r", "0.3",
                            "--phi", "/nonexistent/phi.json")

@@ -53,6 +53,27 @@ def test_config_validation():
         small_config(lmax=1).validate()
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"master_seed": -1}, "master_seed must be >= 0"),
+    ({"tolerances": {"ratio_slack": 0.1}}, "tolerances must hold slice_norm"),
+    ({"tolerances": {"slice_norm": 1e-8}}, "tolerances must hold ratio_slack"),
+    ({"tolerances": {"ratio_slack": np.nan, "slice_norm": 1e-8}},
+     "tolerances ratio_slack must be finite and >= 0"),
+    ({"tolerances": {"ratio_slack": -0.1, "slice_norm": 1e-8}},
+     "tolerances ratio_slack must be finite and >= 0"),
+    ({"tolerances": {"ratio_slack": 0.1, "slice_norm": np.inf}},
+     "tolerances slice_norm must be finite and >= 0"),
+])
+def test_config_rejects_bad_seed_or_tolerances(overrides, named, monkeypatch):
+    """A negative seed, a missing tolerance or a non-finite or negative one
+    is rejected by name, before any warp solve."""
+    solves = []
+    monkeypatch.setattr(sweeps, "solve_for_config", solves.append)
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        perturbation_sweep(small_config(**overrides))
+    assert solves == []
+
+
 @pytest.mark.parametrize("name", ["a", "base_r"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_config_rejects_non_finite_field(name, value):

@@ -125,15 +125,37 @@ def test_degree_zero_neutrality(w05):
     assert slice_second_variation(w05, 0.7, const) == 0.0
 
 
-def test_by_degree_matches_field_assembly(w05):
-    """Summing q_l against slice degree energies reproduces the form."""
+def _integral_form(w, r, phi):
+    """The four-term integral form of the slice second variation, with each
+    slice integral of phi assembled from its degree energies: the check on
+    q_l that does not go through q_l."""
+    u, up = w.evaluate(r)
+    m = w.mass
+    area = 4.0 * np.pi * u * u
+    e = phi.degree_energies()
+    ll = np.arange(phi.lmax + 1)
+    k = ll * (ll + 1.0)
+    int_lap_sq = np.sum(k * k * e, axis=-1) / (u * u)
+    int_grad_sq = np.sum(k * e, axis=-1)
+    int_dev_sq = u * u * np.sum(e[..., 1:], axis=-1)
+    hsq = 4.0 * up * up / (u * u)
+    return (-np.sqrt(area) / (32.0 * np.pi**1.5) * int_lap_sq
+            + int_grad_sq / (4.0 * np.sqrt(np.pi * area))
+            - 1.5 * m / area * int_grad_sq
+            + 0.75 * m / area * hsq * int_dev_sq)
+
+
+@pytest.mark.parametrize("r", [0.4, 0.9, 1.5])
+def test_by_degree_matches_integral_form(w05, r):
+    """u^2 sum_l q_l E_l is the paper's integral form off the minimal
+    slice, for one field and for a block of fields."""
     phi = random_band_limited(5, seed=31)
-    r = 0.9
-    u, _ = w05.evaluate(r)
-    q = second_variation_by_degree(w05, r, 5)
-    expected = float(np.sum(q * u * u * phi.degree_energies()))
     assert slice_second_variation(w05, r, phi) == pytest.approx(
-        expected, rel=1e-13)
+        float(_integral_form(w05, r, phi)), rel=1e-13)
+    block = HarmonicField(np.stack([random_band_limited(5, seed).coeffs
+                                    for seed in (31, 32, 33, 34)]))
+    assert_allclose(slice_second_variation(w05, r, block),
+                    _integral_form(w05, r, block), rtol=1e-13, atol=0)
 
 
 def test_fd_oracle_degree_one(w05):
