@@ -160,6 +160,8 @@ def _cmd_sweep_perturb(args) -> int:
 
 
 def _cmd_scan_foliation(args) -> int:
+    if args.slices < 2:
+        raise ValueError(f"--slices must be >= 2, got {args.slices}")
     w = _solve(args)
     if w.period is None:
         raise SolveError("period not bracketed inside --rmax; increase it")

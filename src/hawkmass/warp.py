@@ -14,7 +14,10 @@ The profile comes from a fixed-order Taylor stepper (Jorba & Zou, Exp.
 Math. 14, 2005): each step expands the solution to order 28 around its
 base point, with coefficients from the differential equation's own
 recurrence, and walks a quarter of that expansion's convergence radius.
-The stepper's patches are the profile: ``WarpFactor`` keeps the step
+The recurrence has two forms that round alike: ``_taylor_column`` in
+plain floats builds one expansion per step or base-slice patch, and
+``_taylor_coeff_block`` in numpy rebuilds every node's expansion in one
+call.  The stepper's patches are the profile: ``WarpFactor`` keeps the step
 nodes and evaluates the expansion of the step that contains a radius
 (the dense output of the Taylor method itself), so no derivative of the
 numerical solution is ever estimated by finite differences.
@@ -30,6 +33,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -129,12 +134,50 @@ def _brent(f, lo: float, hi: float, xtol: float) -> float:
         f"on [{lo:.17g}, {hi:.17g}]")
 
 
+def _taylor_column(u0: float, up0: float, order: int = _BASE_ORDER) -> list:
+    """Taylor coefficients [U_0, ..., U_order] of the solution through
+    (u0, up0), in plain floats: the recurrence of ``_taylor_coeff_block``
+    for one column, rounded exactly as the block rounds it.
+
+    Each order sums each factor pair's Cauchy product left to right from
+    0.0, then adds the three pair sums in the block's order.  The built-in
+    ``sum`` is not used: from Python 3.12 it compensates float sums, so
+    its bits would depend on the interpreter.
+    """
+    # the factor pairs (2u, u''), (u', u') and (u, u), as in the block;
+    # each product pairs the k + 1 leading terms of its left factor, read
+    # backwards, with the right factor's, where map stops
+    U = [u0, up0]
+    D = [up0]               # u'
+    twoU = [2.0 * u0, 2.0 * up0]
+    A = [0.0]               # u'', one order behind: its top term is zero
+    for k in range(order - 1):
+        acc = 0.0
+        for left, right in ((twoU, A), (D, D), (U, U)):
+            acc += reduce(add, map(mul, left[k::-1], right), 0.0)
+        top = ((1.0 if k == 0 else 0.0) - acc) / (2.0 * u0 * (k + 1) * (k + 2))
+        U.append(top)
+        twoU.append(2.0 * top)
+        D.append((k + 2) * top)
+        A[k] = (k + 1) * (k + 2) * top
+        A.append(0.0)
+    return U
+
+
 def _taylor_coeff_block(u0, up0, order):
     """Taylor coefficients of solutions through (u0, up0), vectorized.
 
     Input arrays of shape (n,); returns U of shape (order + 1, n) with
     u(r0 + s) = sum_k U[k] s^k.  Uses 2 u u'' + u'^2 + u^2 = 1 order by
     order: each order is one Cauchy product over all n columns.
+
+    ``_taylor_column`` is the same recurrence for one column in plain
+    floats, bound to this one bit for bit by the tests.  Both forms stay
+    because each is the faster one where it runs: the stepper and the
+    base-slice patches build one column at a time, which numpy's
+    per-order overhead makes about three times slower here than in plain
+    floats, while ``WarpFactor`` rebuilds all n nodes in one call here,
+    at about the cost of three or four columns, not n.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     up0 = np.atleast_1d(np.asarray(up0, dtype=float))
@@ -180,7 +223,7 @@ class TaylorPatch:
 
     def __init__(self, r0: float, u0: float, up0: float):
         self.r0 = float(r0)
-        U = _taylor_coeff_block(u0, up0, _BASE_ORDER)[:, 0]
+        U = np.array(_taylor_column(float(u0), float(up0)))
         self.coeff_u = U
         self.coeff_up = U[1:] * np.arange(1, _BASE_ORDER + 1)
         # WarpFactor.taylor_patch hands one patch to many callers
@@ -262,8 +305,9 @@ class WarpFactor:
 
     Each node starts one step of the stepper, and the order-28 expansion
     around it is the profile on that step.  The expansions are rebuilt
-    from the nodes with the stepper's own recurrence, so they equal its
-    patches bit for bit.
+    from the nodes in one ``_taylor_coeff_block`` call, the block form of
+    the stepper's ``_taylor_column``, so they equal its patches bit for
+    bit.
 
     Attributes
     ----------
@@ -440,17 +484,32 @@ def _detect_period(w: WarpFactor):
     """Distance between consecutive returns of u to its minimum.
 
     u' vanishes at multiples of half the period; the full period is the
-    second interior zero, where u matches the minimal radius again.  The
-    zeros are bracketed by the step nodes.
+    second zero after r = 0, where u matches the minimal radius again.
+    Each step is sampled at its quarter points: near a = 1 the steps
+    outgrow half the period (about pi), so one step can hold two zeros
+    with the same sign of u' at its ends.  A zero is bracketed by the
+    step's nodes where it is the step's only sign change, and by the
+    quarter points around it otherwise.
     """
     rs, up = w.nodes[:, 0], w.nodes[:, 2]
+    # per step: the node and its three quarter points, then the last node
+    frac = np.array([0.25, 0.5, 0.75])
+    inner = rs[:-1, None] + np.diff(rs)[:, None] * frac
+    r_fine = np.append(np.column_stack([rs[:-1], inner]).ravel(), rs[-1])
+    up_fine = np.append(
+        np.column_stack([up[:-1], w.evaluate(inner)[1]]).ravel(), up[-1])
+    change = up_fine[:-1] * up_fine[1:] < 0.0
+    # steps whose nodes bracket their one sign change
+    lone = (change.reshape(-1, 4).sum(axis=1) == 1) & (up[:-1] * up[1:] < 0.0)
+    f = lambda r: w.evaluate(r)[1]
     zeros = []
-    for i in range(1, up.size - 1):
-        if up[i] == 0.0:
-            zeros.append(rs[i])
-        elif up[i] * up[i + 1] < 0.0:
-            f = lambda r: w.evaluate(r)[1]
-            zeros.append(_brent(f, rs[i], rs[i + 1], xtol=1e-14))
+    for j in range(r_fine.size - 1):
+        if up_fine[j] == 0.0 and j > 0:
+            zeros.append(r_fine[j])
+        elif change[j]:
+            i = j // 4
+            lo, hi = (i * 4, i * 4 + 4) if lone[i] else (j, j + 1)
+            zeros.append(_brent(f, r_fine[lo], r_fine[hi], xtol=1e-14))
         if len(zeros) >= 2:
             break
     if len(zeros) < 2:

@@ -381,6 +381,30 @@ def test_exit_code_mapping_invariant(monkeypatch, capsys):
     assert '"index": 4' in err
 
 
+@pytest.mark.parametrize("slices", ["-3", "0", "1"])
+def test_scan_slices_below_two_is_named(slices, monkeypatch, capsys):
+    """--slices below 2 exits 2 naming the flag, before the warp solve and
+    with nothing on stdout."""
+    import hawkmass.cli as cli_mod
+
+    solves = []
+    monkeypatch.setattr(cli_mod, "_solve", solves.append)
+    assert main(["scan", "foliation", "--a", "0.5", "--slices", slices]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--slices must be >= 2" in captured.err
+    assert solves == []
+
+
+def test_scan_near_the_round_cylinder(capsys):
+    """At a = 0.99999 a Taylor step is longer than half the period, which
+    is still found, and the scan passes its checks: exit 0."""
+    assert main(["scan", "foliation", "--a", "0.99999", "--slices", "16"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["h_sign_ok"] is True
+    assert doc["mass_deviation_max"] < 1e-12
+
+
 def test_exit_code_mapping_solver_failure(capsys):
     """Period detection fails inside a too-short range: exit 1."""
     code = main(["scan", "foliation", "--a", "0.5", "--slices", "8",

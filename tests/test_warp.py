@@ -30,6 +30,7 @@ from hawkmass.warp import (
     _brent,
     _detect_period,
     _taylor_coeff_block,
+    _taylor_column,
 )
 
 
@@ -386,13 +387,19 @@ _columns = st.lists(
 
 @settings(max_examples=25, deadline=None)
 @given(cols=_columns, order=st.sampled_from([2, 3, 16, 28]))
+@example(cols=[(0.5, 0.0)], order=28)
+@example(cols=[(0.5644064358830799, 1.0), (0.5644064358830799, -1.0)],
+         order=28)
 def test_taylor_coeff_block_is_columnwise(cols, order):
-    """A block of columns rounds exactly like its columns one at a time."""
+    """Each column of a block has the bits of ``_taylor_column``: the
+    recurrence's two forms round alike, whatever the block's size; the
+    examples are the minimal slice (up0 = 0) and the +-1 cancellation."""
     u0, up0 = (np.array(v) for v in zip(*cols))
     block = _taylor_coeff_block(u0, up0, order)
     assert block.shape == (order + 1, len(cols))
     for i, (u, up) in enumerate(cols):
-        assert np.array_equal(block[:, i], _taylor_coeff_block(u, up, order)[:, 0])
+        column = np.array(_taylor_column(u, up, order))
+        assert block[:, i].tobytes() == column.tobytes()
 
 
 def _coeff_loop_reference(u0, up0, order):
@@ -430,9 +437,48 @@ def test_taylor_coeff_block_matches_loop_reference(u0, up0):
     scale.  At up0 = +-1 the order-3 coefficient cancels to zero, where a
     relative tolerance on the coefficient itself would compare roundoff
     (the example)."""
-    block = _taylor_coeff_block(u0, up0, 28)[:, 0]
+    column = np.array(_taylor_column(u0, up0, 28))
     ref, scale = _coeff_loop_reference(u0, up0, 28)
-    assert np.all(np.abs(block - ref) <= 1e-10 * scale)
+    assert np.all(np.abs(column - ref) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("a", [1.0e-3, 0.2, 0.5149, 0.9, A_MAX])
+def test_warp_expansions_are_the_stepper_patches(a):
+    """The block rebuild of ``WarpFactor`` gives each node the bits of the
+    patch the stepper built there."""
+    w = solve_warp_factor(a, 13.0)
+    for i, node in enumerate(w.nodes):
+        assert w._tails[i, 0].tobytes() == TaylorPatch(*node).coeff_u[1:].tobytes()
+
+
+def test_solve_builds_one_block_and_one_column_per_step(monkeypatch):
+    """The stepper builds each step's expansion as one column, and
+    ``WarpFactor`` rebuilds all nodes in one block."""
+    calls = {"block": 0, "column": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(warp, "_taylor_coeff_block",
+                        counted("block", warp._taylor_coeff_block))
+    monkeypatch.setattr(warp, "_taylor_column",
+                        counted("column", warp._taylor_column))
+    w = solve_warp_factor(0.5, 13.0)
+    assert calls == {"block": 1, "column": w.nodes.shape[0] - 1}
+
+
+@pytest.mark.parametrize("a", [0.99997, 0.99999, A_MAX])
+@pytest.mark.parametrize("r_max", [6.4, 12.0, 50.0])
+def test_period_near_the_round_cylinder(a, r_max):
+    """Near a = 1 a step outgrows half the period, so one step can hold
+    two zeros of u' and the first step holds the first one; the period is
+    still found, and it tends to 2 pi, the period of the linearization."""
+    w = solve_warp_factor(a, r_max)
+    assert np.max(np.diff(w.nodes[:, 0])) > np.pi
+    assert w.period == pytest.approx(2.0 * np.pi, abs=1e-9)
 
 
 def test_import_loads_no_scipy():
