@@ -6,8 +6,11 @@ atomically (temp file then rename); wall-clock and environment metadata
 go to a ``<out>.meta.json`` sidecar so the primary artifact is a pure
 function of the command line.
 
-Exit codes: 0 success, 1 computational failure, 2 usage error,
-3 invariant violation (offending record on stderr).
+Exit codes: 0 success, 1 computational failure or exhausted memory,
+2 usage error, 3 invariant violation (offending record on stderr).  Each
+size flag (--grid-lmax, --slices, spectrum --lmax, the geometry grid a
+sweep's --lmax or a field's lmax implies) is bounded and checked by name
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import InvariantViolation, SolveError
 from .graph import build_graph, surface_report
-from .sphere import HarmonicField
+from .sphere import MAX_GRID_LMAX, HarmonicField
 from .sweeps import (
     SweepConfig,
     assert_sweep_passes,
@@ -42,6 +45,9 @@ from .warp import WarpFactor, slice_geometry, solve_warp_factor
 _DEF_TOL = 1.0e-10
 _DEF_RMAX = 12.0
 _DEF_FD_STEP = 1.0e-3
+# the most slices a scan and degrees a spectrum take: a scan holds about
+# 800 bytes per slice with its JSON, 80 MB here
+_MAX_POINTS = 100_000
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -61,6 +67,15 @@ def _emit(args, artifact: str, summary: dict) -> None:
         print(json.dumps(summary, sort_keys=True))
     else:
         print(artifact)
+
+
+def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
+    """Reject a size flag outside [lo, hi] by name, before anything is
+    allocated."""
+    if value < lo:
+        raise ValueError(f"{flag} must be >= {lo}, got {value}")
+    if value > hi:
+        raise ValueError(f"{flag} must be <= {hi}, got {value}")
 
 
 def _solve(args) -> WarpFactor:
@@ -105,8 +120,10 @@ def _cmd_slice_info(args) -> int:
 
 
 def _cmd_mass_graph(args) -> int:
-    w = _solve(args)
+    if args.grid_lmax is not None:
+        _check_size("--grid-lmax", args.grid_lmax, 1, MAX_GRID_LMAX)
     phi = _load_phi(args.phi)
+    w = _solve(args)
     surface = build_graph(w, args.r, phi, scale=args.scale,
                           grid_lmax=args.grid_lmax)
     report = surface_report(surface)
@@ -121,6 +138,7 @@ def _cmd_mass_graph(args) -> int:
 
 
 def _cmd_spectrum_jacobi(args) -> int:
+    _check_size("--lmax", args.lmax, 0, _MAX_POINTS)
     w = _solve(args)
     spec = jacobi_spectrum(w, args.r, args.lmax)
     doc = {**asdict(spec), "first_eigenvalue": spec.first_eigenvalue,
@@ -130,8 +148,8 @@ def _cmd_spectrum_jacobi(args) -> int:
 
 
 def _cmd_variation_second(args) -> int:
-    w = _solve(args)
     phi = _load_phi(args.phi)
+    w = _solve(args)
     doc: dict = {"a": w.a, "r": args.r, "mode": args.mode}
     if args.mode in ("spectral", "both"):
         doc["spectral"] = slice_second_variation(w, args.r, phi)
@@ -160,8 +178,7 @@ def _cmd_sweep_perturb(args) -> int:
 
 
 def _cmd_scan_foliation(args) -> int:
-    if args.slices < 2:
-        raise ValueError(f"--slices must be >= 2, got {args.slices}")
+    _check_size("--slices", args.slices, 2, _MAX_POINTS)
     w = _solve(args)
     if w.period is None:
         raise SolveError("period not bracketed inside --rmax; increase it")
@@ -283,6 +300,9 @@ def main(argv=None) -> int:
         return 1
     except RuntimeError as exc:
         print(f"hawkmass: failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"hawkmass: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -70,7 +70,13 @@ __all__ = [
     "laplacian_unit",
     "gradient_norm_sq_integral",
     "sobolev_norms",
+    "MAX_GRID_LMAX",
 ]
+
+# the largest grid band limit L: the Legendre table alone holds 3 (L + 1)^3
+# floats, 407 MB at 256, on the scale of the 6e7 entries ``basis_matrix``
+# allows.  Every path to a grid meets this bound before it allocates.
+MAX_GRID_LMAX = 256
 
 
 def coeff_index(l: int, m: int) -> int:
@@ -158,8 +164,9 @@ class SphereGrid:
     """
 
     def __init__(self, lmax: int):
-        if lmax < 1:
-            raise ValueError("lmax must be >= 1")
+        if not 1 <= lmax <= MAX_GRID_LMAX:
+            raise ValueError(
+                f"grid lmax must be in [1, {MAX_GRID_LMAX}], got {lmax}")
         self.lmax = int(lmax)
         x, w = _gauss_legendre(lmax + 1)
         self.x = x
@@ -454,6 +461,10 @@ class HarmonicField:
         if type(lmax) is not int or lmax < 0:
             raise ValueError(f"field lmax must be an integer >= 0, "
                              f"got {lmax!r}")
+        if _geometry_lmax(lmax) > MAX_GRID_LMAX:
+            raise ValueError(
+                f"field lmax {lmax} needs a geometry grid of band limit "
+                f"{_geometry_lmax(lmax)}, above {MAX_GRID_LMAX}")
         c = np.zeros((lmax + 1) ** 2)
         for k, entry in enumerate(data["coeffs"]):
             try:

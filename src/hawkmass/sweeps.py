@@ -31,7 +31,13 @@ import numpy as np
 
 from .errors import InvariantViolation, RangeError
 from .graph import GraphSurface, _graph_surface
-from .sphere import HarmonicField, _geometry_lmax, _sobolev_norms, get_grid
+from .sphere import (
+    MAX_GRID_LMAX,
+    HarmonicField,
+    _geometry_lmax,
+    _sobolev_norms,
+    get_grid,
+)
 from .warp import WarpFactor, _brent, slice_geometry, slice_mass_derivative
 from .variation import (
     QuadraticFormReport,
@@ -89,6 +95,11 @@ class SweepConfig:
             raise ValueError("n_samples must be >= 1")
         if self.lmax < 2:
             raise ValueError("lmax must be >= 2")
+        grid_lmax = _geometry_lmax(self.lmax // 2)
+        if grid_lmax > MAX_GRID_LMAX:
+            raise ValueError(
+                f"lmax {self.lmax} needs a geometry grid of band limit "
+                f"{grid_lmax}, above {MAX_GRID_LMAX}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         for key in ("ratio_slack", "slice_norm"):

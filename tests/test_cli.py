@@ -396,9 +396,56 @@ def test_scan_slices_below_two_is_named(slices, monkeypatch, capsys):
     assert solves == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mass", "graph", "--phi", "{phi}", "--grid-lmax", "257"],
+     "--grid-lmax must be <= 256"),
+    (["scan", "foliation", "--slices", "100001"], "--slices must be <= 100000"),
+    (["spectrum", "jacobi", "--lmax", "100001"], "--lmax must be <= 100000"),
+    (["sweep", "perturb", "--lmax", "258"],
+     "lmax 258 needs a geometry grid of band limit 258, above 256"),
+    (["mass", "graph", "--phi", "{field129}"],
+     "field lmax 129 needs a geometry grid of band limit 258, above 256"),
+])
+def test_size_flags_just_above_their_bounds_are_named(argv, message, tmp_path,
+                                                      monkeypatch, capsys):
+    """Each size one past its bound exits 2 naming what is too large,
+    before a profile is solved or a grid is built."""
+    import hawkmass.cli as cli_mod
+    import hawkmass.sweeps as sweeps_mod
+
+    files = {}
+    for name, lmax in (("phi", 2), ("field129", 129)):
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump({"lmax": lmax, "coeffs": [[1, 0, 0.1]]}, fh)
+    calls = []
+    monkeypatch.setattr(cli_mod, "_solve", calls.append)
+    monkeypatch.setattr(sweeps_mod, "solve_for_config", calls.append)
+    monkeypatch.setattr(sweeps_mod, "get_grid", calls.append)
+    argv = [arg.format(**files) for arg in argv]
+    assert main(argv + ["--a", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert calls == []
+
+
+def test_exhausted_memory_is_one_line_and_exit_1(monkeypatch, capsys):
+    import hawkmass.cli as cli_mod
+
+    def exhaust(args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli_mod, "_solve", exhaust)
+    assert main(["slice", "info", "--a", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "hawkmass: out of memory: Unable to allocate 74.5 GiB for an array\n"
+
+
 def test_scan_near_the_round_cylinder(capsys):
-    """At a = 0.99999 a Taylor step is longer than half the period, which
-    is still found, and the scan passes its checks: exit 0."""
+    """At a = 0.99999 a first Taylor step would be longer than half the
+    period, so it is clipped at T/2, and the scan passes its checks:
+    exit 0."""
     assert main(["scan", "foliation", "--a", "0.99999", "--slices", "16"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["h_sign_ok"] is True
@@ -406,7 +453,7 @@ def test_scan_near_the_round_cylinder(capsys):
 
 
 def test_exit_code_mapping_solver_failure(capsys):
-    """Period detection fails inside a too-short range: exit 1."""
+    """No full period fits inside a too-short range: exit 1."""
     code = main(["scan", "foliation", "--a", "0.5", "--slices", "8",
                  "--rmax", "2"])
     assert code == 1

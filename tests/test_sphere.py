@@ -18,7 +18,7 @@ from hawkmass import (
     sobolev_norms,
     synthesize,
 )
-from hawkmass.sphere import SphereGrid
+from hawkmass.sphere import MAX_GRID_LMAX, SphereGrid
 
 AMP_10 = np.sqrt(3.0 / (4.0 * np.pi))   # degree-1 zonal amplitude
 
@@ -31,6 +31,14 @@ def random_field(lmax, seed):
 def test_quadrature_weights_cover_sphere():
     grid = get_grid(12)
     assert_allclose(np.sum(grid.quad_weights), 4.0 * np.pi, rtol=1e-14)
+
+
+@pytest.mark.parametrize("lmax", [0, MAX_GRID_LMAX + 1])
+def test_grid_band_limit_is_bounded(lmax):
+    """One bound for every path to a grid, checked before the tables are
+    allocated (3 (L + 1)^3 floats, 407 MB at the bound)."""
+    with pytest.raises(ValueError, match=r"grid lmax must be in \[1, 256\]"):
+        SphereGrid(lmax)
 
 
 def test_coeff_index_layout():

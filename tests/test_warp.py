@@ -28,7 +28,8 @@ from hawkmass.warp import (
     A_MIN,
     TaylorPatch,
     _brent,
-    _detect_period,
+    _static_gap,
+    _static_period,
     _taylor_coeff_block,
     _taylor_column,
 )
@@ -100,6 +101,93 @@ def test_static_chart_roots_domain():
         static_chart_roots(-0.1)
 
 
+@pytest.mark.parametrize("a", np.linspace(A_MIN, 0.9, 41))
+def test_static_gap_matches_the_chart_roots(a):
+    """Away from a = 1 the roots are well conditioned, and their gap is
+    the closed form's to 1e-14."""
+    lo, hi = static_chart_roots(expected_mass(a))
+    assert abs((hi - lo) - _static_gap(a)) <= 1e-14 * _static_gap(a)
+
+
+def _period_reference(a, n=4096):
+    """T = 4 sqrt(3) int_0^{pi/2} sqrt(u / (u + a + b)) dtheta by the
+    n-point midpoint rule, u = a + (b - a) sin^2(theta)."""
+    b = 0.5 * (np.sqrt(12.0 - 3.0 * a * a) - a)
+    theta = (np.arange(n) + 0.5) * (0.5 * np.pi / n)
+    u = a + (b - a) * np.sin(theta) ** 2
+    return 4.0 * np.sqrt(3.0) * 0.5 * np.pi * np.mean(np.sqrt(u / (u + a + b)))
+
+
+@pytest.mark.parametrize("a", [A_MIN, 0.2, 0.5, 0.9, 0.99999, A_MAX])
+def test_period_is_the_static_chart_quadrature(a):
+    """Near a = 1 a zero of u' was ill-conditioned, and the period read
+    from it was off by 2e-11 at A_MAX; the quadrature is not."""
+    w = solve_warp_factor(a, 13.0)
+    assert w.period == _static_period(a)
+    assert abs(w.period - _period_reference(a)) <= 1e-14 * w.period
+
+
+def test_period_needs_the_range_to_hold_it(w05):
+    """The period is reported only when [0, r_max] holds it; below that
+    the fold still serves every radius up to r_max."""
+    short = solve_warp_factor(0.5, 6.0)
+    assert short.period is None
+    assert np.array_equal(short.nodes, w05.nodes)
+    r = np.linspace(-6.0, 6.0, 97)
+    for got, ref in zip(short.evaluate(r), w05.evaluate(r)):
+        assert np.array_equal(got, ref)
+    assert solve_warp_factor(0.5, w05.period).period == w05.period
+
+
+def _static_chart_profile(a, r, n=4096):
+    """(u, u') at radii r >= 0 from the static chart, independent of the
+    stepper and of any fold: u = a + (b - a) sin^2(theta) with
+    r(theta) = 2 sqrt(3) int_0^theta g, g = sqrt(u / (u + a + b)),
+    integrated term by term from the Fourier series of g and inverted by
+    Newton's method, and u' = (du/dtheta) / (2 sqrt(3) g)."""
+    b = 0.5 * (np.sqrt(12.0 - 3.0 * a * a) - a)
+    gap, k3 = b - a, 2.0 * np.sqrt(3.0)
+
+    def g(theta):
+        u = a + gap * np.sin(theta) ** 2
+        return np.sqrt(u / (u + a + b))
+
+    coef = np.fft.rfft(g(np.pi * np.arange(n) / n)).real / n
+    k = np.flatnonzero(np.abs(coef) > 1e-17 * coef[0])[1:]
+    sine = coef[k] / k
+
+    def radius(theta):
+        return k3 * (coef[0] * theta + np.sin(2.0 * np.outer(theta, k)) @ sine)
+
+    table = np.linspace(0.0, np.pi * (r.max() / (k3 * np.pi * coef[0]) + 0.01),
+                        2049)
+    theta = np.interp(r, radius(table), table)
+    for _ in range(8):
+        theta = theta - (radius(theta) - r) / (k3 * g(theta))
+    return a + gap * np.sin(theta) ** 2, gap * np.sin(2.0 * theta) / (k3 * g(theta))
+
+
+@pytest.mark.parametrize("a", [A_MIN, 0.01, 0.2, 0.5, 0.9, A_MAX])
+def test_profile_matches_the_static_chart(a):
+    """u to 1e-13 relative and u' to 1e-13 absolute over [0, 13], plus
+    the phase error eps |r| that the rounding of T costs each fold (8 eps
+    here).  The phase term matters only at the necks past T/2 for small
+    a: there u'/u reaches 0.375 / a, so at a = 1e-3 half an ulp of T
+    alone moves u by 3e-13 relative at r = 2T.  A stepped profile drifts
+    in phase by far more, 2e-11 at a = 1e-3."""
+    eps = np.finfo(float).eps
+    w = solve_warp_factor(a, 13.0)
+    necks = np.outer(w.period * np.arange(1, 3), np.ones(41))
+    r = np.concatenate([np.linspace(0.0, 13.0, 1301),
+                        (necks + np.linspace(-0.01, 0.01, 41)).ravel()])
+    u_ref, up_ref = _static_chart_profile(a, r)
+    u, up = w.evaluate(r)
+    phase = 8.0 * eps * r
+    assert np.all(np.abs(u - u_ref) <= 1e-13 * u_ref + phase * np.abs(up_ref))
+    upp = w.curvature_accel(u_ref, up_ref)
+    assert np.all(np.abs(up - up_ref) <= 1e-13 + phase * np.abs(upp))
+
+
 @pytest.mark.parametrize("a", [0.0, 1.0, 1.5, -0.2])
 def test_minimum_radius_guard(a):
     with pytest.raises(ValueError):
@@ -127,9 +215,22 @@ def test_range_guard_rejects_nan(w05):
         w05.evaluate(np.array([0.1, np.nan]))
 
 
-def test_range_ends_exactly_at_the_last_node(w05):
-    u, up = w05.evaluate(w05.r_max)
-    assert (u, up) == tuple(w05.nodes[-1, 1:])
+def test_range_ends_exactly_at_the_last_node():
+    """Below half a period the nodes end at r_max, and so does the range."""
+    w = solve_warp_factor(0.5, 2.0)
+    assert w.nodes[-1, 0] == w.r_max == 2.0
+    u, up = w.evaluate(w.r_max)
+    assert (u, up) == tuple(w.nodes[-1, 1:])
+    with pytest.raises(RangeError):
+        w.evaluate(np.nextafter(w.r_max, np.inf))
+
+
+def test_range_ends_exactly_at_r_max_past_the_last_node(w05):
+    """Past half a period the nodes stop at T/2, the fold serves the rest
+    of [0, r_max], and the range still ends exactly at r_max."""
+    assert w05.nodes[-1, 0] == 0.5 * w05.period < w05.r_max
+    assert w05.evaluate(w05.nodes[-1, 0]) == tuple(w05.nodes[-1, 1:])
+    w05.evaluate(w05.r_max)
     with pytest.raises(RangeError):
         w05.evaluate(np.nextafter(w05.r_max, np.inf))
 
@@ -234,7 +335,9 @@ def test_patch_gate_bounds_error(a, r0_16, smax):
 
 
 def test_json_round_trip(w05):
+    assert json.loads(w05.to_json())["r_max"] == 13.0
     w2 = WarpFactor.from_json(w05.to_json())
+    assert w2.r_max == w05.r_max
     assert w2.a == w05.a
     assert w2.mass == w05.mass
     assert w2.period == w05.period
@@ -242,6 +345,30 @@ def test_json_round_trip(w05):
     r = np.linspace(-w05.r_max, w05.r_max, 1000)
     for got, ref in zip(w2.evaluate(r), w05.evaluate(r)):
         assert np.array_equal(got, ref)
+
+
+def test_json_reads_node_documents_without_r_max(w05):
+    """A node document from before the fold stepped all of [0, r_max] and
+    stored no r_max; it validates up to its last node and is evaluated on
+    its own nodes, which below T/2 are the nodes of today's solve."""
+    r0, u0, up0 = 0.0, 0.5, 0.0
+    nodes = [(r0, u0, up0)]
+    while r0 < 13.0:
+        patch = TaylorPatch(r0, u0, up0)
+        r1 = min(r0 + 0.25 * patch.radius, 13.0)
+        u0, up0 = (float(v) for v in patch.eval_delta(r1 - r0)[:2])
+        r0 = r1
+        nodes.append((r0, u0, up0))
+    doc = {"a": 0.5, "mass": w05.mass, "period": 6.154021055616072,
+           "nodes": nodes}
+    w2 = WarpFactor.from_json(json.dumps(doc))
+    assert w2.r_max == 13.0
+    assert w2.period == w05.period
+    assert np.array_equal(w2.nodes[:w05.nodes.shape[0] - 1], w05.nodes[:-1])
+    r = np.linspace(0.0, 0.5 * w05.period, 500, endpoint=False)
+    for got, ref in zip(w2.evaluate(r), w05.evaluate(r)):
+        assert np.array_equal(got, ref)
+    assert abs(w2.evaluate(13.0)[0] - w05.evaluate(13.0)[0]) < 1e-10
 
 
 def test_json_reads_uniform_sample_documents(w05):
@@ -271,6 +398,8 @@ def _bad_nodes(kind, nodes):
         return nodes[::-1]
     if kind == "offset":
         return nodes + np.array([0.1, 0.0, 0.0])
+    if kind == "short":
+        return nodes[:-1]
     if kind in ("nan", "zero_u"):
         nodes = nodes.copy()
         nodes[4, 1] = np.nan if kind == "nan" else 0.0
@@ -280,10 +409,11 @@ def _bad_nodes(kind, nodes):
 
 
 @pytest.mark.parametrize("kind", ["flat", "single", "repeated", "reversed",
-                                  "offset", "spread", "nan", "zero_u"])
+                                  "offset", "short", "spread", "nan",
+                                  "zero_u"])
 def test_constructor_rejects_bad_nodes(w05, kind):
     with pytest.raises(ValueError), np.errstate(all="ignore"):
-        WarpFactor(w05.a, w05.mass, _bad_nodes(kind, w05.nodes), w05.period)
+        WarpFactor(w05.a, w05.mass, _bad_nodes(kind, w05.nodes), w05.r_max)
 
 
 def test_nodes_are_the_stepper_steps():
@@ -473,12 +603,15 @@ def test_solve_builds_one_block_and_one_column_per_step(monkeypatch):
 @pytest.mark.parametrize("a", [0.99997, 0.99999, A_MAX])
 @pytest.mark.parametrize("r_max", [6.4, 12.0, 50.0])
 def test_period_near_the_round_cylinder(a, r_max):
-    """Near a = 1 a step outgrows half the period, so one step can hold
-    two zeros of u' and the first step holds the first one; the period is
-    still found, and it tends to 2 pi, the period of the linearization."""
+    """Near a = 1 a step would outgrow half the period, so one or two
+    steps, the last clipped at T/2, are the whole profile; the period
+    tends to 2 pi, the period of the linearization, and the fold returns
+    u(T) = a with u'(T) = 0 exactly."""
     w = solve_warp_factor(a, r_max)
-    assert np.max(np.diff(w.nodes[:, 0])) > np.pi
+    assert w.nodes.shape[0] <= 3
+    assert w.nodes[-1, 0] == 0.5 * w.period
     assert w.period == pytest.approx(2.0 * np.pi, abs=1e-9)
+    assert w.evaluate(w.period) == (a, 0.0)
 
 
 def test_import_loads_no_scipy():
@@ -559,8 +692,8 @@ def test_brent_raises_when_not_converged(monkeypatch):
 
 @pytest.mark.parametrize("a", np.linspace(0.2, 0.9, 8))
 def test_brent_matches_scipy_brentq_at_call_sites(a, monkeypatch):
-    """The period, the patch reach and the margin flip radius agree with
-    scipy's brentq on the same brackets and tolerances."""
+    """The patch reach and the margin flip radius agree with scipy's
+    brentq on the same brackets and tolerances; the period is no root."""
     from scipy.optimize import brentq
 
     w = solve_warp_factor(float(a), 13.0)
@@ -568,7 +701,7 @@ def test_brent_matches_scipy_brentq_at_call_sites(a, monkeypatch):
     patches = [w.taylor_patch(r0) for r0 in (0.0, 11.9375)]
 
     def roots():
-        return ([_detect_period(w), foliation_scan(w, grid).margin_flip_radius]
+        return ([foliation_scan(w, grid).margin_flip_radius]
                 + [p.reach() for p in patches])
 
     ours = roots()
@@ -576,8 +709,7 @@ def test_brent_matches_scipy_brentq_at_call_sites(a, monkeypatch):
     monkeypatch.setattr(warp, "_brent", scipy_brent)
     monkeypatch.setattr(sweeps, "_brent", scipy_brent)
     theirs = roots()
-    assert ours[0] == w.period
-    assert (ours[1] is None) == (theirs[1] is None)
+    assert (ours[0] is None) == (theirs[0] is None)
     for x, y in zip(ours, theirs):
         if x is not None:
             assert abs(x - y) <= 1e-12, (ours, theirs)
