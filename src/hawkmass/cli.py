@@ -181,7 +181,8 @@ def _cmd_scan_foliation(args) -> int:
     _check_size("--slices", args.slices, 2, _MAX_POINTS)
     w = _solve(args)
     if w.period is None:
-        raise SolveError("period not bracketed inside --rmax; increase it")
+        raise SolveError(f"one period, T = {w._cycle:.9g}, does not fit inside "
+                         f"--rmax {w.r_max:g}; increase it")
     grid = np.linspace(0.0, w.period, args.slices, endpoint=False)
     scan = foliation_scan(w, grid)
     summary = {

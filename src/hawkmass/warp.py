@@ -14,13 +14,12 @@ The profile comes from a fixed-order Taylor stepper (Jorba & Zou, Exp.
 Math. 14, 2005): each step expands the solution to order 28 around its
 base point, with coefficients from the differential equation's own
 recurrence, and walks a quarter of that expansion's convergence radius.
-The recurrence has two forms that round alike: ``_taylor_column`` in
-plain floats builds one expansion per step or base-slice patch, and
-``_taylor_coeff_block`` in numpy rebuilds every node's expansion in one
-call.  The stepper's patches are the profile: ``WarpFactor`` keeps the step
-nodes and evaluates the expansion of the step that contains a radius
-(the dense output of the Taylor method itself), so no derivative of the
-numerical solution is ever estimated by finite differences.
+``_taylor_column`` runs that recurrence in plain floats, once per step
+or base-slice patch.  The stepper's patches are the profile:
+``WarpFactor`` keeps each step's node and expansion and evaluates the
+expansion of the step that contains a radius (the dense output of the
+Taylor method itself), so no derivative of the numerical solution is
+ever estimated by finite differences.
 
 The period comes from the paper's static chart
 drho^2 / V(rho) + rho^2 g_{S^2}, V = 1 - rho^2 / 3 - 2 m / rho, where
@@ -147,17 +146,17 @@ def _brent(f, lo: float, hi: float, xtol: float) -> float:
 
 def _taylor_column(u0: float, up0: float, order: int = _BASE_ORDER) -> list:
     """Taylor coefficients [U_0, ..., U_order] of the solution through
-    (u0, up0), in plain floats: the recurrence of ``_taylor_coeff_block``
-    for one column, rounded exactly as the block rounds it.
+    (u0, up0), in plain floats, with u(r0 + s) = sum_k U[k] s^k.
 
-    Each order sums each factor pair's Cauchy product left to right from
-    0.0, then adds the three pair sums in the block's order.  The built-in
-    ``sum`` is not used: from Python 3.12 it compensates float sums, so
-    its bits would depend on the interpreter.
+    Uses 2 u u'' + u'^2 + u^2 = 1 order by order: each order sums each
+    factor pair's Cauchy product left to right from 0.0, then adds the
+    three pair sums in a fixed order.  The built-in ``sum`` is not used:
+    from Python 3.12 it compensates float sums, so its bits would depend
+    on the interpreter.
     """
-    # the factor pairs (2u, u''), (u', u') and (u, u), as in the block;
-    # each product pairs the k + 1 leading terms of its left factor, read
-    # backwards, with the right factor's, where map stops
+    # the factor pairs (2u, u''), (u', u') and (u, u); each product pairs
+    # the k + 1 leading terms of its left factor, read backwards, with the
+    # right factor's, where map stops
     U = [u0, up0]
     D = [up0]               # u'
     twoU = [2.0 * u0, 2.0 * up0]
@@ -175,49 +174,11 @@ def _taylor_column(u0: float, up0: float, order: int = _BASE_ORDER) -> list:
     return U
 
 
-def _taylor_coeff_block(u0, up0, order):
-    """Taylor coefficients of solutions through (u0, up0), vectorized.
-
-    Input arrays of shape (n,); returns U of shape (order + 1, n) with
-    u(r0 + s) = sum_k U[k] s^k.  Uses 2 u u'' + u'^2 + u^2 = 1 order by
-    order: each order is one Cauchy product over all n columns.
-
-    ``_taylor_column`` is the same recurrence for one column in plain
-    floats, bound to this one bit for bit by the tests.  Both forms stay
-    because each is the faster one where it runs: the stepper and the
-    base-slice patches build one column at a time, which numpy's
-    per-order overhead makes about three times slower here than in plain
-    floats, while ``WarpFactor`` rebuilds all n nodes in one call here,
-    at about the cost of three or four columns, not n.
-    """
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    up0 = np.atleast_1d(np.asarray(up0, dtype=float))
-    # coefficients of the factor pairs (2u, u''), (u', u') and (u, u),
-    # stacked per column so that one reduction sums all three products in
-    # an order that does not depend on n; the u'' row is filled one order
-    # behind, so its unknown top term enters as zero
-    left = np.zeros((u0.size, 3, order + 1))
-    right = np.zeros((u0.size, 3, order + 1))
-    left[:, 0, :2] = np.column_stack([2.0 * u0, 2.0 * up0])
-    left[:, 1, 0] = right[:, 1, 0] = up0
-    left[:, 2, :2] = right[:, 2, :2] = np.column_stack([u0, up0])
-    for k in range(0, order - 1):
-        acc = np.einsum("jti,jti->j", left[:, :, k::-1], right[:, :, :k + 1])
-        top = ((1.0 if k == 0 else 0.0) - acc) / (2.0 * u0 * (k + 1) * (k + 2))
-        left[:, 2, k + 2] = right[:, 2, k + 2] = top
-        left[:, 0, k + 2] = 2.0 * top
-        left[:, 1, k + 1] = right[:, 1, k + 1] = (k + 2) * top
-        right[:, 0, k] = (k + 1) * (k + 2) * top
-    return np.ascontiguousarray(left[:, 2].T)
-
-
 def _convergence_radius(U):
-    """Crude convergence radius of sum_k U[k] s^k from its tail, per column."""
-    order = U.shape[0] - 1
-    ks = np.arange(order // 2, order + 1)
-    roots = np.abs(U[ks]) ** (1.0 / ks).reshape((-1,) + (1,) * (U.ndim - 1))
+    """Crude convergence radius of sum_k U[k] s^k from its tail."""
+    ks = np.arange((U.size - 1) // 2, U.size)
     with np.errstate(divide="ignore"):
-        return 1.0 / np.max(roots, axis=0)
+        return 1.0 / np.max(np.abs(U[ks]) ** (1.0 / ks))
 
 
 def _horner(coeffs, s):
@@ -314,11 +275,11 @@ class SliceGeometry:
 class WarpFactor:
     """Solved warp factor: the Taylor stepper's nodes and their expansions.
 
-    Each node starts one step of the stepper, and the order-28 expansion
-    around it is the profile on that step.  The expansions are rebuilt
-    from the nodes in one ``_taylor_coeff_block`` call, the block form of
-    the stepper's ``_taylor_column``, so they equal its patches bit for
-    bit.
+    Built from a in [1e-3, 1 - 1e-6] and r_max in (0, 1e3] alone: the
+    constructor runs the stepper from (r, u, u') = (0, a, 0) and keeps the
+    patch it builds at each node, the last node included.  Each node
+    starts one step, and the order-28 expansion around it is the profile
+    on that step.
 
     The nodes stop at T/2, with T the static-chart period, or at r_max if
     that comes first: u is even about r = 0 and about T/2, so ``evaluate``
@@ -339,46 +300,45 @@ class WarpFactor:
         to it and refuses larger radii; negative arguments are served by
         evenness of u.
     nodes : ndarray, shape (n, 3)
-        Columns (r, u, u'), from r = 0 to min(r_max, T/2), each step at
-        most a quarter of its expansion's convergence radius long.
+        Columns (r, u, u'), from r = 0 to min(r_max, T/2), each step a
+        quarter of its expansion's convergence radius long, or shorter
+        where it ends the range.
     period : float or None
         The static-chart period T, when the validated range holds a full
         period (T <= r_max), else None.
     """
 
-    def __init__(self, a, mass, nodes, r_max):
+    def __init__(self, a, r_max):
+        if not A_MIN <= a <= A_MAX:
+            raise ValueError(f"a={a} outside admissible range [{A_MIN}, {A_MAX}]")
+        if not 0.0 < r_max <= 1.0e3:
+            raise ValueError("r_max must be in (0, 1e3]")
         self.a = float(a)
-        self.mass = float(mass)
-        self.nodes = np.asarray(nodes, dtype=float)
-        if (self.nodes.ndim != 2 or self.nodes.shape[1] != 3
-                or self.nodes.shape[0] < 2):
-            raise ValueError("nodes must have shape (n, 3) with n >= 2")
-        self._r = np.ascontiguousarray(self.nodes[:, 0])
-        if self._r[0] != 0.0 or not np.all(np.diff(self._r) > 0.0):
-            raise ValueError("node radii must start at 0 and increase strictly")
+        self.mass = 0.5 * self.a * (1.0 - self.a * self.a / 3.0)
         self.r_max = float(r_max)
         # the full period, which the fold needs even where it exceeds r_max
         self._cycle = _static_period(self.a)
         self.period = self._cycle if self._cycle <= self.r_max else None
-        # written so that a nan r_max fails it too; the slack admits nodes
-        # stepped where T rounds an ulp lower (numpy's sin can differ in
-        # the last bit from one CPU to another)
         end = min(self.r_max, 0.5 * self._cycle)
-        if not self._r[-1] >= end * (1.0 - 1.0e-12):
-            raise ValueError("nodes must reach min(r_max, T/2)")
+        # fixed-order Taylor stepping: each step is one base-point expansion,
+        # taken a quarter of its convergence radius long
+        patch = TaylorPatch(0.0, self.a, 0.0)
+        patches = [patch]
+        while patch.r0 < end:
+            r1 = min(patch.r0 + _STEP_FRACTION * patch.radius, end)
+            u1, up1 = patch.eval_delta(r1 - patch.r0)[:2]
+            patch = TaylorPatch(r1, u1, up1)
+            patches.append(patch)
+        self.nodes = np.array([(p.r0, p.coeff_u[0], p.coeff_up[0])
+                               for p in patches])
+        self._r = np.ascontiguousarray(self.nodes[:, 0])
+        # per node, the coefficients of s^1 .. s^28 in u and in u'
+        self._tails = np.zeros((len(patches), 2, _BASE_ORDER))
+        self._tails[:, 0] = [p.coeff_u[1:] for p in patches]
+        self._tails[:, 1, :-1] = [p.coeff_up[1:] for p in patches]
         # the last patch built, as (r0, patch): sweeps build
         # graphs over one base slice again and again
         self._patch_memo = None
-        U = _taylor_coeff_block(self.nodes[:, 1], self.nodes[:, 2], _BASE_ORDER)
-        reach = _STEP_FRACTION * _convergence_radius(U[:, :-1])
-        # written so that a non-finite node or coefficient fails it too
-        if not np.all(self._r[1:] <= (self._r[:-1] + reach) * (1.0 + 1.0e-12)):
-            raise ValueError("node steps must be finite and within a quarter "
-                             "of their convergence radius")
-        # per node, the coefficients of s^1 .. s^28 in u and in u'
-        self._tails = np.zeros((self._r.size, 2, _BASE_ORDER))
-        self._tails[:, 0] = U[1:].T
-        self._tails[:, 1, :-1] = (U[2:] * _POWERS[1:, None]).T
 
     # -- evaluation -----------------------------------------------------
 
@@ -447,22 +407,35 @@ class WarpFactor:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "WarpFactor":
-        """Read ``to_json`` output.  A document of the older uniform
-        ``samples`` table is re-solved from its a and its last radius; an
-        older node document, which has no ``r_max``, validates up to its
-        last node.  The period is taken from a, not from the document."""
+    @staticmethod
+    def from_json(text: str) -> "WarpFactor":
+        """Read ``to_json`` output, or an older document: a node table with
+        no ``r_max``, or a uniform ``samples`` table of (r, u, u').
+
+        Every format is re-solved from its a and its r_max, the stored one
+        or else the table's last radius, once the stored mass is checked
+        against a; the stored nodes and period are not read.  A malformed
+        document raises ``ValueError`` that names what is wrong."""
         data = json.loads(text)
-        mass = float(data["mass"])
-        a = float(data["a"])
-        expect = 0.5 * a * (1.0 - a * a / 3.0)
-        if abs(mass - expect) > 1.0e-10:
+        if not isinstance(data, dict):
+            raise ValueError("warp document must be a JSON object")
+        for key in ("a", "mass"):
+            if key not in data:
+                raise ValueError(f"warp document has no {key!r}")
+        table = data.get("nodes", data.get("samples"))
+        if not table:
+            raise ValueError("warp document has no nodes and no samples")
+        try:
+            a, mass = float(data["a"]), float(data["mass"])
+            r_max = float(data.get("r_max", table[-1][0]))
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise ValueError(
+                f"warp document: a, mass and r_max must be numbers ({exc})"
+            ) from None
+        # written so that a nan mass fails it too
+        if not abs(mass - 0.5 * a * (1.0 - a * a / 3.0)) <= 1.0e-10:
             raise ValueError("stored mass inconsistent with stored a")
-        if "nodes" not in data:
-            return solve_warp_factor(a, float(data["samples"][-1][0]))
-        nodes = data["nodes"]
-        return cls(a, mass, nodes, data.get("r_max", nodes[-1][0]))
+        return solve_warp_factor(a, r_max)
 
     def __repr__(self):  # pragma: no cover
         return (
@@ -473,15 +446,16 @@ class WarpFactor:
 
 def solve_warp_factor(a: float, r_max: float, tol: float = _DEFAULT_TOL) -> WarpFactor:
     """Integrate the warp profile equation by Taylor steps on
-    [0, min(r_max, T/2)], T the static-chart period; the profile it
-    returns serves all of [-r_max, r_max] by evenness and folding.
+    [0, min(r_max, T/2)], T the static-chart period, and check its first
+    integral; the profile it returns serves all of [-r_max, r_max] by
+    evenness and folding.
 
     Parameters
     ----------
     a : float
         Minimal radius in [1e-3, 1 - 1e-6].
     r_max : float
-        Length of the solved range; must be positive.
+        Length of the solved range, in (0, 1e3].
     tol : float
         Bound on the conserved-mass drift: the first integral is verified
         to drift less than 10 * tol on the step nodes and the step
@@ -492,31 +466,12 @@ def solve_warp_factor(a: float, r_max: float, tol: float = _DEFAULT_TOL) -> Warp
     -------
     WarpFactor
     """
-    if not A_MIN <= a <= A_MAX:
-        raise ValueError(f"a={a} outside admissible range [{A_MIN}, {A_MAX}]")
-    if not 0.0 < r_max <= 1.0e3:
-        raise ValueError("r_max must be in (0, 1e3]")
     if not 1.0e-13 <= tol <= 1.0e-4:
         raise ValueError("tol must be in [1e-13, 1e-4]")
-
-    r_max = float(r_max)
-    end = min(r_max, 0.5 * _static_period(a))
-    # fixed-order Taylor stepping: each step is one base-point expansion,
-    # taken a quarter of its convergence radius long
-    r0, u0, up0 = 0.0, float(a), 0.0
-    nodes = [(r0, u0, up0)]
-    while r0 < end:
-        patch = TaylorPatch(r0, u0, up0)
-        r1 = min(r0 + _STEP_FRACTION * patch.radius, end)
-        pu, pup = patch.eval_delta(r1 - r0)[:2]
-        r0, u0, up0 = r1, float(pu), float(pup)
-        nodes.append((r0, u0, up0))
-
-    mass = 0.5 * a * (1.0 - a * a / 3.0)
-    w = WarpFactor(a, mass, nodes, r_max)
+    w = WarpFactor(a, r_max)
     rs = w.nodes[:, 0]
     mids = 0.5 * (rs[1:] + rs[:-1])
-    drift = np.max(np.abs(conserved_mass(w, np.concatenate([rs, mids])) - mass))
+    drift = np.max(np.abs(conserved_mass(w, np.concatenate([rs, mids])) - w.mass))
     if not drift <= 10.0 * tol:
         raise SolveError(
             f"conserved-mass drift {drift:.3e} exceeds 10*tol={10 * tol:.1e}"

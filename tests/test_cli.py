@@ -453,11 +453,14 @@ def test_scan_near_the_round_cylinder(capsys):
 
 
 def test_exit_code_mapping_solver_failure(capsys):
-    """No full period fits inside a too-short range: exit 1."""
+    """No full period fits inside a too-short range: exit 1, naming the
+    profile's period and the range."""
     code = main(["scan", "foliation", "--a", "0.5", "--slices", "8",
                  "--rmax", "2"])
     assert code == 1
-    assert "solver" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver" in err
+    assert "T = 6.15402106" in err and "--rmax 2" in err
 
 
 def test_in_process_spectrum(capsys):

@@ -30,7 +30,6 @@ from hawkmass.warp import (
     _brent,
     _static_gap,
     _static_period,
-    _taylor_coeff_block,
     _taylor_column,
 )
 
@@ -349,8 +348,8 @@ def test_json_round_trip(w05):
 
 def test_json_reads_node_documents_without_r_max(w05):
     """A node document from before the fold stepped all of [0, r_max] and
-    stored no r_max; it validates up to its last node and is evaluated on
-    its own nodes, which below T/2 are the nodes of today's solve."""
+    stored no r_max; it is re-solved up to its last node, so it reads as
+    today's solve, whose nodes below T/2 are its own."""
     r0, u0, up0 = 0.0, 0.5, 0.0
     nodes = [(r0, u0, up0)]
     while r0 < 13.0:
@@ -364,11 +363,9 @@ def test_json_reads_node_documents_without_r_max(w05):
     w2 = WarpFactor.from_json(json.dumps(doc))
     assert w2.r_max == 13.0
     assert w2.period == w05.period
-    assert np.array_equal(w2.nodes[:w05.nodes.shape[0] - 1], w05.nodes[:-1])
-    r = np.linspace(0.0, 0.5 * w05.period, 500, endpoint=False)
-    for got, ref in zip(w2.evaluate(r), w05.evaluate(r)):
-        assert np.array_equal(got, ref)
-    assert abs(w2.evaluate(13.0)[0] - w05.evaluate(13.0)[0]) < 1e-10
+    assert np.array_equal(np.array(nodes)[:w05.nodes.shape[0] - 1],
+                          w05.nodes[:-1])
+    assert w2.to_json() == w05.to_json()
 
 
 def test_json_reads_uniform_sample_documents(w05):
@@ -387,33 +384,61 @@ def test_json_reads_uniform_sample_documents(w05):
         assert np.array_equal(got, ref)
 
 
-def _bad_nodes(kind, nodes):
-    if kind == "flat":
-        return nodes[:, :2]
-    if kind == "single":
-        return nodes[:1]
-    if kind == "repeated":
-        return np.insert(nodes, 3, nodes[3], axis=0)
-    if kind == "reversed":
-        return nodes[::-1]
-    if kind == "offset":
-        return nodes + np.array([0.1, 0.0, 0.0])
-    if kind == "short":
-        return nodes[:-1]
-    if kind in ("nan", "zero_u"):
-        nodes = nodes.copy()
-        nodes[4, 1] = np.nan if kind == "nan" else 0.0
-        return nodes
-    # every second node dropped: twice the stepper's steps
-    return nodes[::2]
+def _malformed(kind, doc):
+    if kind == "not_json":
+        return "nope"
+    if kind == "list":
+        return json.dumps([doc])
+    if kind in ("no_a", "no_mass"):
+        doc.pop(kind[3:])
+    elif kind == "no_table":
+        doc.pop("nodes")
+    elif kind == "empty_nodes":
+        doc["nodes"] = []
+        doc.pop("r_max")
+    elif kind == "text_r_max":
+        doc["r_max"] = "far"
+    elif kind == "huge_r_max":
+        doc["r_max"] = 1.0e9
+    else:
+        doc["mass"] = float("nan")
+    return json.dumps(doc)
 
 
-@pytest.mark.parametrize("kind", ["flat", "single", "repeated", "reversed",
-                                  "offset", "short", "spread", "nan",
-                                  "zero_u"])
-def test_constructor_rejects_bad_nodes(w05, kind):
-    with pytest.raises(ValueError), np.errstate(all="ignore"):
-        WarpFactor(w05.a, w05.mass, _bad_nodes(kind, w05.nodes), w05.r_max)
+@pytest.mark.parametrize("kind, problem", [
+    ("not_json", "Expecting value"),
+    ("list", "must be a JSON object"),
+    ("no_a", "no 'a'"),
+    ("no_mass", "no 'mass'"),
+    ("no_table", "no nodes and no samples"),
+    ("empty_nodes", "no nodes and no samples"),
+    ("text_r_max", "must be numbers"),
+    ("huge_r_max", r"r_max must be in \(0, 1e3\]"),
+    ("nan_mass", "mass inconsistent"),
+])
+def test_json_rejects_malformed_documents(w05, kind, problem):
+    """Each malformed document raises ValueError naming its problem, not a
+    KeyError, IndexError or TypeError from inside the reader; an r_max past
+    the solver's cap is refused, not served."""
+    doc = json.loads(w05.to_json())
+    with pytest.raises(ValueError, match=problem):
+        WarpFactor.from_json(_malformed(kind, doc))
+
+
+def test_json_reads_perturbed_nodes_as_the_solved_profile(w05):
+    """Stored nodes are not read: a document whose nodes were tampered
+    with reads as the profile solved from its a and r_max."""
+    doc = json.loads(w05.to_json())
+    nodes = np.array(doc["nodes"])
+    nodes[1:, 1:] *= 1.0 + 1.0e-6
+    nodes[1:-1, 0] += 1.0e-3
+    doc["nodes"] = nodes.tolist()
+    w2 = WarpFactor.from_json(json.dumps(doc))
+    assert w2.to_json() == w05.to_json()
+    assert w2._tails.tobytes() == w05._tails.tobytes()
+    r = np.linspace(-w05.r_max, w05.r_max, 777)
+    for got, ref in zip(w2.evaluate(r), w05.evaluate(r)):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_nodes_are_the_stepper_steps():
@@ -510,28 +535,6 @@ def test_taylor_stepper_conserves_mass(a, r_max):
         assert drift <= 1e-12
 
 
-_columns = st.lists(
-    st.tuples(st.floats(A_MIN, 2.0), st.floats(-1.5, 1.5)),
-    min_size=1, max_size=8)
-
-
-@settings(max_examples=25, deadline=None)
-@given(cols=_columns, order=st.sampled_from([2, 3, 16, 28]))
-@example(cols=[(0.5, 0.0)], order=28)
-@example(cols=[(0.5644064358830799, 1.0), (0.5644064358830799, -1.0)],
-         order=28)
-def test_taylor_coeff_block_is_columnwise(cols, order):
-    """Each column of a block has the bits of ``_taylor_column``: the
-    recurrence's two forms round alike, whatever the block's size; the
-    examples are the minimal slice (up0 = 0) and the +-1 cancellation."""
-    u0, up0 = (np.array(v) for v in zip(*cols))
-    block = _taylor_coeff_block(u0, up0, order)
-    assert block.shape == (order + 1, len(cols))
-    for i, (u, up) in enumerate(cols):
-        column = np.array(_taylor_column(u, up, order))
-        assert block[:, i].tobytes() == column.tobytes()
-
-
 def _coeff_loop_reference(u0, up0, order):
     """The recurrence summed term by term, one column at a time.
 
@@ -561,8 +564,8 @@ def _coeff_loop_reference(u0, up0, order):
 @settings(max_examples=25, deadline=None)
 @given(u0=st.floats(A_MIN, 2.0), up0=st.floats(-1.5, 1.5))
 @example(u0=0.5644064358830799, up0=1.0)
-def test_taylor_coeff_block_matches_loop_reference(u0, up0):
-    """The vectorized Cauchy products only reorder the sums: roundoff
+def test_taylor_column_matches_loop_reference(u0, up0):
+    """The column's Cauchy products only reorder the sums: roundoff
     accumulates over 28 orders, far inside 1e-10 of each order's summand
     scale.  At up0 = +-1 the order-3 coefficient cancels to zero, where a
     relative tolerance on the coefficient itself would compare roundoff
@@ -574,30 +577,29 @@ def test_taylor_coeff_block_matches_loop_reference(u0, up0):
 
 @pytest.mark.parametrize("a", [1.0e-3, 0.2, 0.5149, 0.9, A_MAX])
 def test_warp_expansions_are_the_stepper_patches(a):
-    """The block rebuild of ``WarpFactor`` gives each node the bits of the
-    patch the stepper built there."""
+    """``WarpFactor`` gives each node the bits of the patch the stepper
+    builds there, in u and in u'; the s^28 term of u' is zero."""
     w = solve_warp_factor(a, 13.0)
     for i, node in enumerate(w.nodes):
-        assert w._tails[i, 0].tobytes() == TaylorPatch(*node).coeff_u[1:].tobytes()
+        patch = TaylorPatch(*node)
+        assert w._tails[i, 0].tobytes() == patch.coeff_u[1:].tobytes()
+        assert w._tails[i, 1, :-1].tobytes() == patch.coeff_up[1:].tobytes()
+        assert w._tails[i, 1, -1] == 0.0
 
 
-def test_solve_builds_one_block_and_one_column_per_step(monkeypatch):
-    """The stepper builds each step's expansion as one column, and
-    ``WarpFactor`` rebuilds all nodes in one block."""
-    calls = {"block": 0, "column": 0}
+def test_solve_builds_one_column_per_node(monkeypatch):
+    """The stepper builds each node's expansion once, as one column, the
+    last node's included, and nothing rebuilds them."""
+    calls = []
+    column = warp._taylor_column
 
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return column(*args, **kwargs)
 
-    monkeypatch.setattr(warp, "_taylor_coeff_block",
-                        counted("block", warp._taylor_coeff_block))
-    monkeypatch.setattr(warp, "_taylor_column",
-                        counted("column", warp._taylor_column))
+    monkeypatch.setattr(warp, "_taylor_column", counted)
     w = solve_warp_factor(0.5, 13.0)
-    assert calls == {"block": 1, "column": w.nodes.shape[0] - 1}
+    assert calls == [tuple(node[1:]) for node in w.nodes]
 
 
 @pytest.mark.parametrize("a", [0.99997, 0.99999, A_MAX])
