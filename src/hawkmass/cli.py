@@ -6,6 +6,10 @@ atomically (temp file then rename); wall-clock and environment metadata
 go to a ``<out>.meta.json`` sidecar so the primary artifact is a pure
 function of the command line.
 
+The profile depends on --a alone: only ``metric solve``, whose document
+records its range, takes --rmax; the rest solve |r| + 12 around --r
+through ``sweeps.solve_for_config``.
+
 Exit codes: 0 success, 1 computational failure or exhausted memory,
 2 usage error, 3 invariant violation (offending record on stderr).  Each
 size flag (--grid-lmax, --slices, spectrum --lmax, the geometry grid a
@@ -33,6 +37,7 @@ from .sweeps import (
     critical_point_classifier,
     foliation_scan,
     perturbation_sweep,
+    solve_for_config,
 )
 from .variation import (
     fd_second_variation,
@@ -42,8 +47,6 @@ from .variation import (
 )
 from .warp import WarpFactor, slice_geometry, solve_warp_factor
 
-_DEF_TOL = 1.0e-10
-_DEF_RMAX = 12.0
 _DEF_FD_STEP = 1.0e-3
 # the most slices a scan and degrees a spectrum take: a scan holds about
 # 800 bytes per slice with its JSON, 80 MB here
@@ -79,7 +82,7 @@ def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
 
 
 def _solve(args) -> WarpFactor:
-    return solve_warp_factor(args.a, args.rmax, tol=args.tol)
+    return solve_for_config(args.a, getattr(args, "r", 0.0))
 
 
 def _load_phi(path: str) -> HarmonicField:
@@ -95,7 +98,7 @@ def _load_phi(path: str) -> HarmonicField:
 
 
 def _cmd_metric_solve(args) -> int:
-    w = _solve(args)
+    w = solve_warp_factor(args.a, args.rmax)
     summary = {
         "a": w.a,
         "mass": w.mass,
@@ -180,9 +183,6 @@ def _cmd_sweep_perturb(args) -> int:
 def _cmd_scan_foliation(args) -> int:
     _check_size("--slices", args.slices, 2, _MAX_POINTS)
     w = _solve(args)
-    if w.period is None:
-        raise SolveError(f"one period, T = {w._cycle:.9g}, does not fit inside "
-                         f"--rmax {w.r_max:g}; increase it")
     grid = np.linspace(0.0, w.period, args.slices, endpoint=False)
     scan = foliation_scan(w, grid)
     summary = {
@@ -204,24 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "symmetric warped products.")
     groups = top.add_subparsers(dest="group", required=True)
 
-    # the sweep solves its own range (|r| + 6, default tolerance), so it
-    # takes only the flags of ``base``
-    base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--a", type=float, required=True,
-                      help="minimum warp radius, in (0, 1)")
-    base.add_argument("--out", type=str, default=None,
-                      help="artifact path (atomic write + meta sidecar)")
-    common = argparse.ArgumentParser(add_help=False, parents=[base])
-    common.add_argument("--rmax", type=float, default=_DEF_RMAX,
-                        help="solved half-range (default %(default)s)")
-    common.add_argument("--tol", type=float, default=_DEF_TOL,
-                        help="bound on conserved-mass drift "
-                             "(default %(default)s)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--a", type=float, required=True,
+                        help="minimum warp radius, in (0, 1)")
+    common.add_argument("--out", type=str, default=None,
+                        help="artifact path (atomic write + meta sidecar)")
 
     metric = groups.add_parser("metric", help="warp profile solving")
     metric_ops = metric.add_subparsers(dest="op", required=True)
     p = metric_ops.add_parser("solve", parents=[common],
                               help="solve the warp profile, emit the step nodes")
+    p.add_argument("--rmax", type=float, default=12.0,
+                   help="solved half-range (default %(default)s)")
     p.set_defaults(func=_cmd_metric_solve)
 
     slc = groups.add_parser("slice", help="slice geometry")
@@ -264,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = groups.add_parser("sweep", help="seeded perturbation sweeps")
     sweep_ops = sweep.add_subparsers(dest="op", required=True)
-    p = sweep_ops.add_parser("perturb", parents=[base],
+    p = sweep_ops.add_parser("perturb", parents=[common],
                              help="random C2-small graphs, mass deficits")
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=1.0e-2,

@@ -38,7 +38,8 @@ from .sphere import (
     _sobolev_norms,
     get_grid,
 )
-from .warp import WarpFactor, _brent, slice_geometry, slice_mass_derivative
+from .warp import (_MAX_RANGE, WarpFactor, _brent, slice_geometry,
+                   slice_mass_derivative, solve_warp_factor)
 from .variation import (
     QuadraticFormReport,
     jacobi_spectrum,
@@ -57,6 +58,9 @@ __all__ = [
     "critical_point_classifier",
     "build_meta",
 ]
+
+# the classifier's bound on residual, mean curvature and deviation
+_CRITICAL_TOL = 1.0e-8
 
 # samples per block, one stacked jet each: the block's node temporaries
 # grow with it, and 16 already costs the sweep about 7% of its peak memory
@@ -321,7 +325,7 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     cfg.validate()
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    w = solve_for_config(cfg)
+    w = solve_for_config(cfg.a, cfg.base_r)
     patch = w.taylor_patch(cfg.base_r)
     if not patch.covers(cfg.epsilon):
         raise RangeError(
@@ -338,18 +342,23 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
 
 
 _WARP_CACHE: dict = {}
+_RANGE_MARGIN = 12.0
+_MAX_RADIUS = _MAX_RANGE - _RANGE_MARGIN
 
 
-def solve_for_config(cfg: SweepConfig) -> WarpFactor:
-    """Solve (or reuse) the warp profile a sweep config needs."""
-    from .warp import solve_warp_factor
-
-    key = (cfg.a, round(abs(cfg.base_r) + 6.0, 6))
-    w = _WARP_CACHE.get(key)
-    if w is None:
-        w = solve_warp_factor(cfg.a, abs(cfg.base_r) + 6.0)
-        _WARP_CACHE[key] = w
-    return w
+def solve_for_config(a: float, r: float) -> WarpFactor:
+    """Solve (or reuse) the profile of neck radius a over |r| + 12, a full
+    period (T < 2 pi) on each side of radius r.  A non-finite r, or |r|
+    past 988, whose range would pass the solver's 1e3, raises
+    ``ValueError`` naming the radius before any solve."""
+    # written so that a nan radius fails it too
+    if not abs(r) <= _MAX_RADIUS:
+        raise ValueError(f"r must be finite and |r| <= {_MAX_RADIUS:g}, "
+                         f"got {r:g}")
+    key = (a, abs(r) + _RANGE_MARGIN)
+    if key not in _WARP_CACHE:
+        _WARP_CACHE[key] = solve_warp_factor(*key)
+    return _WARP_CACHE[key]
 
 
 @dataclass
@@ -439,22 +448,21 @@ class CriticalPointReport:
     deviation_norm: float
 
 
-def critical_point_classifier(surface: GraphSurface,
-                              tol: float = 1.0e-8) -> CriticalPointReport:
+def critical_point_classifier(surface: GraphSurface) -> CriticalPointReport:
     """Classify a graph surface as a Hawking-mass critical point.
 
-    Critical iff the Euler-Lagrange residual stays below tol.  The label
+    Critical iff the Euler-Lagrange residual stays below 1e-8.  The label
     is "minimal" when the mean curvature vanishes, "slice" when the
-    perturbation is constant (deviation below tol in length units), else
+    perturbation is constant (deviation below 1e-8 in length units), else
     "none".  Minimal slices get "minimal" plus the slice flag.
     """
     res_max = surface.el_residual_max()
-    critical = bool(res_max < tol)
+    critical = bool(res_max < _CRITICAL_TOL)
     h_max = float(np.max(np.abs(surface.mean_curvature)))
     e = surface.phi.degree_energies()
     dev = abs(surface.scale) * float(np.sqrt(np.sum(e[1:])))
-    slice_like = bool(dev < tol)
-    if slice_like and h_max < tol:
+    slice_like = bool(dev < _CRITICAL_TOL)
+    if slice_like and h_max < _CRITICAL_TOL:
         kind = "minimal"
     elif slice_like:
         kind = "slice"

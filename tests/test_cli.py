@@ -117,13 +117,35 @@ def test_mass_graph_synthesizes_one_jet(monkeypatch, capsys, tmp_path):
     ["mass", "graph", "--phi", "PHI"],
 ])
 def test_nan_radius_is_a_usage_error(command, y1_file):
-    """A nan radius fails the range guard: exit 2 with one diagnostic,
-    not NaN values in the JSON or a failed Gram solve."""
+    """A nan radius is named before any solve: exit 2 with one
+    diagnostic, not NaN values in the JSON or a failed Gram solve."""
     args = [y1_file if arg == "PHI" else arg for arg in command]
     code, out, err = run_cli(*args, "--a", "0.5", "--r", "nan")
     assert code == 2
     assert out == ""
-    assert "solved range" in err
+    assert err == ("hawkmass: error: r must be finite and |r| <= 988, "
+                   "got nan\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "perturb", "--n", "2"],
+    ["slice", "info"],
+])
+def test_radius_past_the_largest_range_is_named(command, monkeypatch, capsys):
+    """A radius whose range |r| + 12 would pass the solver's 1e3 exits 2
+    naming the radius, not an r_max the command does not take, and before
+    any solve."""
+    from hawkmass import sweeps
+
+    solves = []
+    monkeypatch.setattr(sweeps, "solve_warp_factor",
+                        lambda *args: solves.append(args))
+    assert main([*command, "--a", "0.5", "--r", "995"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("hawkmass: error: r must be finite and "
+                            "|r| <= 988, got 995\n")
+    assert solves == []
 
 
 @pytest.mark.parametrize("flag, value, field", [
@@ -452,15 +474,67 @@ def test_scan_near_the_round_cylinder(capsys):
     assert doc["mass_deviation_max"] < 1e-12
 
 
-def test_exit_code_mapping_solver_failure(capsys):
-    """No full period fits inside a too-short range: exit 1, naming the
-    profile's period and the range."""
-    code = main(["scan", "foliation", "--a", "0.5", "--slices", "8",
-                 "--rmax", "2"])
+def test_exit_code_mapping_solver_failure(monkeypatch, capsys):
+    """A solve that fails its drift check exits 1, naming the drift and
+    the bound."""
+    from hawkmass import sweeps, warp
+
+    monkeypatch.setattr(sweeps, "_WARP_CACHE", {})
+    monkeypatch.setattr(warp, "_DRIFT_BOUND", -1.0)
+    code = main(["scan", "foliation", "--a", "0.5", "--slices", "8"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "solver" in err
-    assert "T = 6.15402106" in err and "--rmax 2" in err
+    assert err.startswith("hawkmass: solver: conserved-mass drift ")
+    assert err.endswith(" exceeds -1e+00\n")
+
+
+def _subcommands(phi):
+    """Each subcommand with its required flags."""
+    return [
+        ["metric", "solve", "--a", "0.5"],
+        ["slice", "info", "--a", "0.5"],
+        ["mass", "graph", "--a", "0.5", "--phi", phi],
+        ["spectrum", "jacobi", "--a", "0.5"],
+        ["variation", "second", "--a", "0.5", "--phi", phi],
+        ["sweep", "perturb", "--a", "0.5", "--n", "1"],
+        ["scan", "foliation", "--a", "0.5"],
+    ]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_every_subcommand_rejects_tol(index, y1_file, capsys):
+    """The solve runs at roundoff whatever a tolerance says, so no
+    subcommand takes one."""
+    with pytest.raises(SystemExit) as exc:
+        main([*_subcommands(y1_file)[index], "--tol", "1e-10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", range(1, 7))
+def test_only_metric_solve_takes_rmax(index, y1_file, capsys):
+    """The profile is the same for every range that holds it, so only
+    ``metric solve``, whose document records the range, takes --rmax."""
+    with pytest.raises(SystemExit) as exc:
+        main([*_subcommands(y1_file)[index], "--rmax", "40"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rmax 40" in capsys.readouterr().err
+    assert main([*_subcommands(y1_file)[0], "--rmax", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["r_max"] == 40.0
+
+
+def test_slice_info_past_the_default_range(capsys):
+    """A slice past r = 12 needs no flag: its output is the library's
+    slice geometry on any solve that serves its radius."""
+    from dataclasses import asdict
+
+    from hawkmass import slice_geometry
+
+    assert main(["slice", "info", "--a", "0.5", "--r", "13"]) == 0
+    w = solve_warp_factor(0.5, 13.0)
+    doc = {**asdict(slice_geometry(w, 13.0)), "a": w.a,
+           "conserved_mass": w.mass}
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_in_process_spectrum(capsys):

@@ -178,7 +178,7 @@ def test_sample_norms_and_deficit_match_public_route(base_r):
     block and in a partial one."""
     cfg = small_config(base_r=base_r, n_samples=sweeps._SWEEP_BLOCK + 3)
     records = perturbation_sweep(cfg).records
-    w = sweeps.solve_for_config(cfg)
+    w = sweeps.solve_for_config(cfg.a, cfg.base_r)
     u_base = float(w.taylor_patch(base_r).coeff_u[0])
     for rec in records:
         rng = np.random.default_rng(
@@ -505,3 +505,29 @@ def test_graph_mass_saturates_in_grid_band_limit(w05):
     masses = [build_graph(w05, 0.3, phi, grid_lmax=lm).hawking_mass()
               for lm in (16, 32, 64)]
     assert max(masses) - min(masses) < 1e-9
+
+
+@pytest.mark.parametrize("r, got", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (988.5, "988.5"),
+    (-995.0, "-995"),
+])
+def test_solve_range_rejects_a_radius_by_name(r, got, monkeypatch):
+    """The one solve-range function names a radius it cannot serve before
+    it solves anything."""
+    solves = []
+    monkeypatch.setattr(sweeps, "solve_warp_factor",
+                        lambda *args: solves.append(args))
+    with pytest.raises(ValueError) as exc:
+        sweeps.solve_for_config(0.5, r)
+    assert str(exc.value) == f"r must be finite and |r| <= 988, got {got}"
+    assert solves == []
+
+
+@pytest.mark.parametrize("r", [0.0, -3.0, 988.0])
+def test_solve_range_holds_a_period_around_the_radius(r):
+    """The range is |r| + 12, which holds a full period on each side of
+    r, and a second call for the same a and r reuses the profile."""
+    w = sweeps.solve_for_config(0.5, r)
+    assert w.r_max == abs(r) + 12.0
+    assert w.period is not None
+    assert sweeps.solve_for_config(0.5, r) is w
