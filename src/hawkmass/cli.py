@@ -4,11 +4,11 @@ Layout: ``hawkmass <group> <op> [flags]`` with groups metric, slice,
 mass, spectrum, variation, sweep, scan.  Artifacts are written
 atomically (temp file then rename); wall-clock and environment metadata
 go to a ``<out>.meta.json`` sidecar so the primary artifact is a pure
-function of the command line.
+function of the command line.  An ``--out`` that cannot be written exits
+2 naming the path, and leaves no temp file behind.
 
-The profile depends on --a alone: only ``metric solve``, whose document
-records its range, takes --rmax; the rest solve |r| + 12 around --r
-through ``sweeps.solve_for_config``.
+The profile depends on --a alone: each command takes the one solve per
+--a over the range 1e3, from ``sweeps.solve_for_config``; none takes --rmax.
 
 Exit codes: 0 success, 1 computational failure or exhausted memory,
 2 usage error, 3 invariant violation (offending record on stderr).  Each
@@ -20,6 +20,7 @@ before anything is allocated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -45,7 +46,7 @@ from .variation import (
     second_variation_minimal,
     slice_second_variation,
 )
-from .warp import WarpFactor, slice_geometry, solve_warp_factor
+from .warp import WarpFactor, slice_geometry
 
 _DEF_FD_STEP = 1.0e-3
 # the most slices a scan and degrees a spectrum take: a scan holds about
@@ -53,20 +54,29 @@ _DEF_FD_STEP = 1.0e-3
 _MAX_POINTS = 100_000
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _write_artifact(path: str, text: str) -> None:
+    """Write the artifact and its ``.meta.json`` sidecar, each atomically
+    (temp file then rename); a path that cannot be written raises
+    ``ValueError`` naming it, and leaves no temp file."""
+    meta = json.dumps(build_meta(), sort_keys=True)
+    for target, body in ((path, text), (path + ".meta.json", meta)):
+        tmp = f"{target}.tmp-{os.getpid()}"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+            os.replace(tmp, target)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise ValueError(
+                f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 def _emit(args, artifact: str, summary: dict) -> None:
     """Write artifact + sidecar when --out is given, else print it;
     always end with nothing but machine-parseable stdout."""
     if args.out:
-        _atomic_write(args.out, artifact)
-        _atomic_write(args.out + ".meta.json",
-                      json.dumps(build_meta(), sort_keys=True))
+        _write_artifact(args.out, artifact)
         print(json.dumps(summary, sort_keys=True))
     else:
         print(artifact)
@@ -98,7 +108,7 @@ def _load_phi(path: str) -> HarmonicField:
 
 
 def _cmd_metric_solve(args) -> int:
-    w = solve_warp_factor(args.a, args.rmax)
+    w = _solve(args)
     summary = {
         "a": w.a,
         "mass": w.mass,
@@ -107,9 +117,7 @@ def _cmd_metric_solve(args) -> int:
         "n_nodes": int(w.nodes.shape[0]),
     }
     if args.out:
-        _atomic_write(args.out, w.to_json())
-        _atomic_write(args.out + ".meta.json",
-                      json.dumps(build_meta(), sort_keys=True))
+        _write_artifact(args.out, w.to_json())
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -214,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     metric_ops = metric.add_subparsers(dest="op", required=True)
     p = metric_ops.add_parser("solve", parents=[common],
                               help="solve the warp profile, emit the step nodes")
-    p.add_argument("--rmax", type=float, default=12.0,
-                   help="solved half-range (default %(default)s)")
     p.set_defaults(func=_cmd_metric_solve)
 
     slc = groups.add_parser("slice", help="slice geometry")

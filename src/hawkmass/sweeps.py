@@ -186,21 +186,17 @@ class SweepReport:
             "pass": self.ok,
         }
 
+    def _records_doc(self) -> dict:
+        return {"config": self.config.to_dict(),
+                "records": [r.to_dict() for r in self.records]}
+
     def records_payload(self) -> str:
         """Canonical JSON of config + records, the byte-identity surface."""
-        return json.dumps(
-            {"config": self.config.to_dict(),
-             "records": [r.to_dict() for r in self.records]},
-            sort_keys=True,
-        )
+        return json.dumps(self._records_doc(), sort_keys=True)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"config": self.config.to_dict(),
-             "records": [r.to_dict() for r in self.records],
-             "aggregate": self.aggregate()},
-            sort_keys=True,
-        )
+        doc = {**self._records_doc(), "aggregate": self.aggregate()}
+        return json.dumps(doc, sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -342,23 +338,22 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
 
 
 _WARP_CACHE: dict = {}
-_RANGE_MARGIN = 12.0
-_MAX_RADIUS = _MAX_RANGE - _RANGE_MARGIN
+# the largest radius with a full period (T < 2 pi) of range on each side
+_MAX_RADIUS = _MAX_RANGE - 12.0
 
 
 def solve_for_config(a: float, r: float) -> WarpFactor:
-    """Solve (or reuse) the profile of neck radius a over |r| + 12, a full
-    period (T < 2 pi) on each side of radius r.  A non-finite r, or |r|
-    past 988, whose range would pass the solver's 1e3, raises
+    """The profile of neck radius a, solved once per a over the largest
+    range, 1e3, and shared by every radius.  A non-finite r, or |r| past
+    988, which leaves less than a period of range past it, raises
     ``ValueError`` naming the radius before any solve."""
     # written so that a nan radius fails it too
     if not abs(r) <= _MAX_RADIUS:
         raise ValueError(f"r must be finite and |r| <= {_MAX_RADIUS:g}, "
                          f"got {r:g}")
-    key = (a, abs(r) + _RANGE_MARGIN)
-    if key not in _WARP_CACHE:
-        _WARP_CACHE[key] = solve_warp_factor(*key)
-    return _WARP_CACHE[key]
+    if a not in _WARP_CACHE:
+        _WARP_CACHE[a] = solve_warp_factor(a, _MAX_RANGE)
+    return _WARP_CACHE[a]
 
 
 @dataclass
@@ -399,15 +394,12 @@ def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:
     hs = geo.mean_curvature
     margins = weak_stability_margin(w, r)
     # strict sign on the open half-periods, skipping the extremal slices
-    sign_ok = True
-    period = w.period
-    if period is not None:
-        edge = 1.0e-6
-        s = r % period
-        first = (edge < s) & (s < period / 2.0 - edge)
-        second = (period / 2.0 + edge < s) & (s < period - edge)
-        sign_ok = not (np.any(first & ~(hs < 0.0))
-                       or np.any(second & ~(hs > 0.0)))
+    edge = 1.0e-6
+    s = r % w.period
+    first = (edge < s) & (s < w.period / 2.0 - edge)
+    second = (w.period / 2.0 + edge < s) & (s < w.period - edge)
+    sign_ok = not (np.any(first & ~(hs < 0.0))
+                   or np.any(second & ~(hs > 0.0)))
     # the profile varies on the length scale a near the neck, so the
     # stencil step follows a; a fixed step loses accuracy as a shrinks
     h_step = 1.0e-2 * w.a

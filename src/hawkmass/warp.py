@@ -277,19 +277,20 @@ class SliceGeometry:
 class WarpFactor:
     """Solved warp factor: the Taylor stepper's nodes and their expansions.
 
-    Built from a in [1e-3, 1 - 1e-6] and r_max in (0, 1e3] alone: the
-    constructor runs the stepper from (r, u, u') = (0, a, 0) and keeps the
-    patch it builds at each node, the last node included.  Each node
-    starts one step, and the order-28 expansion around it is the profile
-    on that step.
+    The profile is a function of a in [1e-3, 1 - 1e-6] alone; r_max in
+    (0, 1e3] only bounds the radii it serves.  The constructor runs the
+    stepper from (r, u, u') = (0, a, 0) and keeps the patch it builds at
+    each node, the last node included.  Each node starts one step, and the
+    order-28 expansion around it is the profile on that step.
 
     The nodes stop at T/2, with T the static-chart period, or at r_max if
-    that comes first: u is even about r = 0 and about T/2, so ``evaluate``
-    folds a radius past the last node into [0, T/2] with u(r + T) = u(r),
-    u(T - s) = u(s) and u'(T - s) = -u'(s).  Radii below T/2 keep their
-    bits, since the nodes there are the stepper's own; the fold of a larger
-    radius is exact in floating point, and what it costs is the rounding
-    of T itself, about eps |r| in phase.
+    that comes first, so none lies past the served range: u is even about
+    r = 0 and about T/2, so ``evaluate`` folds a radius past the last node
+    into [0, T/2] with u(r + T) = u(r), u(T - s) = u(s) and
+    u'(T - s) = -u'(s).  Radii below T/2 keep their bits, since the nodes
+    there are the stepper's own; the fold of a larger radius is exact in
+    floating point, and what it costs is the rounding of T itself, about
+    eps |r| in phase.
 
     Attributes
     ----------
@@ -305,9 +306,8 @@ class WarpFactor:
         Columns (r, u, u'), from r = 0 to min(r_max, T/2), each step a
         quarter of its expansion's convergence radius long, or shorter
         where it ends the range.
-    period : float or None
-        The static-chart period T, when the validated range holds a full
-        period (T <= r_max), else None.
+    period : float
+        The static-chart period T of the profile, for every r_max.
     """
 
     def __init__(self, a, r_max):
@@ -318,10 +318,8 @@ class WarpFactor:
         self.a = float(a)
         self.mass = 0.5 * self.a * (1.0 - self.a * self.a / 3.0)
         self.r_max = float(r_max)
-        # the full period, which the fold needs even where it exceeds r_max
-        self._cycle = _static_period(self.a)
-        self.period = self._cycle if self._cycle <= self.r_max else None
-        end = min(self.r_max, 0.5 * self._cycle)
+        self.period = _static_period(self.a)
+        end = min(self.r_max, 0.5 * self.period)
         # fixed-order Taylor stepping: each step is one base-point expansion,
         # taken a quarter of its convergence radius long
         patch = TaylorPatch(0.0, self.a, 0.0)
@@ -362,9 +360,9 @@ class WarpFactor:
         if not top <= self.r_max:
             raise RangeError(f"|r| outside solved range [0, {self.r_max:.6g}]")
         if top > self._r[-1]:
-            rf = np.fmod(rf, self._cycle)
-            back = rf > 0.5 * self._cycle
-            rf = np.where(back, self._cycle - rf, rf)
+            rf = np.fmod(rf, self.period)
+            back = rf > 0.5 * self.period
+            rf = np.where(back, self.period - rf, rf)
             odd = odd != back
         idx = np.searchsorted(self._r, rf, side="right") - 1
         s = rf - self._r[idx]
@@ -452,9 +450,10 @@ def solve_warp_factor(a: float, r_max: float) -> WarpFactor:
     integral; the profile it returns serves all of [-r_max, r_max] by
     evenness and folding.
 
-    Every r_max >= T/2 gives the same profile; r_max only bounds the radii
-    it serves.  The first integral is verified to drift at most 1e-9 on
-    the step nodes and midpoints; the stepper keeps it near 5e-15.
+    Every r_max >= T/2 gives the same nodes, and every r_max the same
+    period; r_max only bounds the radii the profile serves.  The first
+    integral is verified to drift at most 1e-9 on the step nodes and
+    midpoints; the stepper keeps it near 5e-15.
 
     Parameters
     ----------

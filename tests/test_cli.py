@@ -26,17 +26,18 @@ def y1_file(tmp_path_factory):
 
 
 def test_metric_solve_summary():
-    code, out, err = run_cli("metric", "solve", "--a", "0.5", "--rmax", "10")
+    """The summary records the one range every command solves, 1e3."""
+    code, out, err = run_cli("metric", "solve", "--a", "0.5")
     assert code == 0
     doc = json.loads(out)
     assert doc["mass"] == pytest.approx(0.2291667, abs=1e-6)
     assert doc["period"] == pytest.approx(6.154021, abs=1e-5)
-    assert doc["r_max"] == 10.0
-    assert doc["n_nodes"] == len(solve_warp_factor(0.5, 10.0).nodes)
+    assert doc["r_max"] == 1000.0
+    assert doc["n_nodes"] == len(solve_warp_factor(0.5, 1000.0).nodes)
 
 
 def test_metric_solve_rejects_bad_radius():
-    code, out, err = run_cli("metric", "solve", "--a", "1.5", "--rmax", "10")
+    code, out, err = run_cli("metric", "solve", "--a", "1.5")
     assert code == 2
     assert err.strip().count("\n") == 0   # single diagnostic line
     assert "error" in err
@@ -44,11 +45,12 @@ def test_metric_solve_rejects_bad_radius():
 
 def test_metric_artifact_round_trip(tmp_path):
     out_path = tmp_path / "warp.json"
-    code, _, _ = run_cli("metric", "solve", "--a", "0.5", "--rmax", "8",
+    code, _, _ = run_cli("metric", "solve", "--a", "0.5",
                          "--out", str(out_path))
     assert code == 0
     w = WarpFactor.from_json(out_path.read_text())
     assert w.a == 0.5
+    assert w.r_max == 1000.0
     assert w.mass == pytest.approx(11.0 / 48.0, abs=1e-12)
     meta = json.loads((tmp_path / "warp.json.meta.json").read_text())
     assert "timestamp" in meta
@@ -132,7 +134,7 @@ def test_nan_radius_is_a_usage_error(command, y1_file):
     ["slice", "info"],
 ])
 def test_radius_past_the_largest_range_is_named(command, monkeypatch, capsys):
-    """A radius whose range |r| + 12 would pass the solver's 1e3 exits 2
+    """A radius past 988, with less than a period of range past it, exits 2
     naming the radius, not an r_max the command does not take, and before
     any solve."""
     from hawkmass import sweeps
@@ -511,16 +513,31 @@ def test_every_subcommand_rejects_tol(index, y1_file, capsys):
     assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("index", range(1, 7))
-def test_only_metric_solve_takes_rmax(index, y1_file, capsys):
-    """The profile is the same for every range that holds it, so only
-    ``metric solve``, whose document records the range, takes --rmax."""
+@pytest.mark.parametrize("index", range(7))
+def test_no_subcommand_takes_rmax(index, y1_file, capsys):
+    """The profile is a function of a, solved once over the largest
+    range, so no subcommand takes --rmax."""
     with pytest.raises(SystemExit) as exc:
         main([*_subcommands(y1_file)[index], "--rmax", "40"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --rmax 40" in capsys.readouterr().err
-    assert main([*_subcommands(y1_file)[0], "--rmax", "40"]) == 0
-    assert json.loads(capsys.readouterr().out)["r_max"] == 40.0
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("target", ["missing/x.json", "dir"])
+def test_unwritable_out_is_named(index, target, y1_file, tmp_path, capsys):
+    """An --out in a missing directory, or one that is a directory, exits
+    2 with one line naming the path, prints nothing and leaves no temp
+    file behind."""
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / target)
+    assert main([*_subcommands(y1_file)[index], "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"hawkmass: error: cannot write {out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
 
 
 def test_slice_info_past_the_default_range(capsys):

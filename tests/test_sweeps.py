@@ -359,13 +359,12 @@ def _reference_foliation_scan(w, r_grid):
         dmass[i] = abs(slice_mass_derivative(w, float(ri)))
     edge = 1.0e-6
     sign_ok = True
-    if period is not None:
-        for ri, hi in zip(r, hs):
-            s = float(ri) % period
-            if edge < s < period / 2.0 - edge and not hi < 0.0:
-                sign_ok = False
-            if period / 2.0 + edge < s < period - edge and not hi > 0.0:
-                sign_ok = False
+    for ri, hi in zip(r, hs):
+        s = float(ri) % period
+        if edge < s < period / 2.0 - edge and not hi < 0.0:
+            sign_ok = False
+        if period / 2.0 + edge < s < period - edge and not hi > 0.0:
+            sign_ok = False
     h_step = 1.0e-2 * w.a
     h2, h1, hm1, hm2 = (slice_geometry(w, k * h_step).mean_curvature
                         for k in (2, 1, -1, -2))
@@ -525,9 +524,22 @@ def test_solve_range_rejects_a_radius_by_name(r, got, monkeypatch):
 
 @pytest.mark.parametrize("r", [0.0, -3.0, 988.0])
 def test_solve_range_holds_a_period_around_the_radius(r):
-    """The range is |r| + 12, which holds a full period on each side of
-    r, and a second call for the same a and r reuses the profile."""
+    """The range is the largest, 1e3, which holds a full period on each
+    side of every radius the check lets through, and a second call for
+    the same a and r reuses the profile."""
     w = sweeps.solve_for_config(0.5, r)
-    assert w.r_max == abs(r) + 12.0
-    assert w.period is not None
+    assert w.r_max == 1.0e3
+    assert abs(r) + w.period < w.r_max
+    w.evaluate(np.array([r - w.period, r + w.period]))
     assert sweeps.solve_for_config(0.5, r) is w
+
+
+def test_one_profile_per_neck_radius(monkeypatch):
+    """The profile depends on a alone, so every radius shares one solve
+    over the largest range and the cache holds one entry per a."""
+    monkeypatch.setattr(sweeps, "_WARP_CACHE", {})
+    profiles = [sweeps.solve_for_config(0.5, r)
+                for r in (0.0, 0.4, -3.0, 988.0)]
+    assert all(w is profiles[0] for w in profiles)
+    assert profiles[0].r_max == 1.0e3
+    assert len(sweeps._WARP_CACHE) == 1

@@ -126,16 +126,16 @@ def test_period_is_the_static_chart_quadrature(a):
     assert abs(w.period - _period_reference(a)) <= 1e-14 * w.period
 
 
-def test_period_needs_the_range_to_hold_it(w05):
-    """The period is reported only when [0, r_max] holds it; below that
-    the fold still serves every radius up to r_max."""
+def test_period_is_reported_for_every_range(w05):
+    """The period is a function of a: a range shorter than T reports it
+    too, and the fold serves every radius up to r_max."""
     short = solve_warp_factor(0.5, 6.0)
-    assert short.period is None
+    assert short.period == w05.period
     assert np.array_equal(short.nodes, w05.nodes)
     r = np.linspace(-6.0, 6.0, 97)
     for got, ref in zip(short.evaluate(r), w05.evaluate(r)):
         assert np.array_equal(got, ref)
-    assert solve_warp_factor(0.5, w05.period).period == w05.period
+    assert solve_warp_factor(0.5, 0.5).period == w05.period
 
 
 def _static_chart_profile(a, r, n=4096):
@@ -555,6 +555,29 @@ def test_profile_is_the_same_for_every_range_past_half_a_period(a):
         for r in (grid, far) if r_max >= 40.0 else (grid,):
             for got, want in zip(w.evaluate(r), ref.evaluate(r)):
                 assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(A_MIN, A_MAX),
+       r_max=st.floats(0.0, 1.0e3, exclude_min=True))
+@example(a=0.5, r_max=1.0)
+@example(a=A_MIN, r_max=3.0)
+@example(a=A_MAX, r_max=1.0e3)
+def test_every_range_serves_the_largest_solve(a, r_max):
+    """Whatever r_max is, the period is the static-chart T and
+    ``evaluate`` has the bits of the 1e3 solve on |r| < r_max.  The
+    endpoint r = r_max is left out: below T/2 the last step is cut short
+    there, and its node's value is the previous expansion summed by
+    ``eval_delta``, which can differ from ``evaluate``'s sum of the same
+    expansion in the last bit."""
+    ref = solve_warp_factor(a, 1.0e3)
+    w = solve_warp_factor(a, r_max)
+    assert w.period == _static_period(a) == ref.period
+    inner = np.nextafter(r_max, 0.0)
+    r = np.concatenate([np.linspace(-r_max, r_max, 301)[1:-1],
+                        [inner, -inner]])
+    for got, want in zip(w.evaluate(r), ref.evaluate(r)):
+        assert got.tobytes() == want.tobytes()
 
 
 def _coeff_loop_reference(u0, up0, order):
