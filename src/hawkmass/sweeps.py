@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import platform
 import sys
 from dataclasses import asdict, dataclass, field
@@ -38,8 +39,8 @@ from .sphere import (
     _sobolev_norms,
     get_grid,
 )
-from .warp import (_MAX_RANGE, WarpFactor, _brent, slice_geometry,
-                   slice_mass_derivative, solve_warp_factor)
+from .warp import (_MAX_RANGE, WarpFactor, _static_gap, _static_radius,
+                   slice_geometry, slice_mass_derivative, solve_warp_factor)
 from .variation import (
     QuadraticFormReport,
     jacobi_spectrum,
@@ -112,6 +113,12 @@ class SweepConfig:
             if not (np.isfinite(self.tolerances[key])
                     and self.tolerances[key] >= 0.0):
                 raise ValueError(f"tolerances {key} must be finite and >= 0")
+        # every draw's C^2 norm is at most epsilon, so none would be a graph
+        if not self.epsilon > self.tolerances["slice_norm"]:
+            raise ValueError(
+                f"epsilon {self.epsilon:g} must exceed tolerances slice_norm "
+                f"{self.tolerances['slice_norm']:g}, below which a draw "
+                f"counts as a slice")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -145,7 +152,7 @@ class SweepRecord:
     prediction: float
     ratio: float
     ok: bool
-    kind: str       # "graph" or "slice" (constant perturbations)
+    kind: str       # "graph", or "slice": a C^2 norm below slice_norm
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -358,7 +365,11 @@ def solve_for_config(a: float, r: float) -> WarpFactor:
 
 @dataclass
 class FoliationScan:
-    """Identity checks across the slice foliation of one solved profile."""
+    """Identity checks across the slice foliation of one solved profile.
+
+    ``margin_flip_radius`` is a property of the profile, independent of
+    the grid: the smallest r > 0 where the weak-stability margin vanishes,
+    or None where it never does."""
 
     a: float
     conserved_mass: float
@@ -384,8 +395,11 @@ def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:
     structure over one period, the curvature slope at the minimal slice,
     and the weak-stability margin profile with its sign-flip radius.
 
-    The margin flip radius is reported, not asserted; the margin is only
-    guaranteed positive near r = 0.
+    The margin flip radius is reported, not asserted.  The margin
+    lambda_1(r) - lambda_0(0) = 6 m / u^3 - (1 / a^2 - 1) vanishes where u
+    reaches u* = a ((3 - a^2) / (1 - a^2))^(1/3), which it does iff
+    u* < b, for a below about 0.72345; the static chart gives that radius
+    as r(theta*), sin^2(theta*) = (u* - a) / (b - a).
     """
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size < 2:
@@ -401,17 +415,18 @@ def foliation_scan(w: WarpFactor, r_grid) -> FoliationScan:
     sign_ok = not (np.any(first & ~(hs < 0.0))
                    or np.any(second & ~(hs > 0.0)))
     # the profile varies on the length scale a near the neck, so the
-    # stencil step follows a; a fixed step loses accuracy as a shrinks
-    h_step = 1.0e-2 * w.a
+    # stencil step follows a; H is O(r) there, so a small step amplifies
+    # no roundoff: at 2e-4 a the slope is off by 1.5e-15 relative or less
+    # for a <= 0.9
+    h_step = 2.0e-4 * w.a
     h2, h1, hm1, hm2 = slice_geometry(
         w, h_step * np.array([2.0, 1.0, -1.0, -2.0])).mean_curvature
     dh = (-h2 + 8.0 * h1 - 8.0 * hm1 + hm2) / (12.0 * h_step)
+    a, gap = w.a, _static_gap(w.a)
+    u_rise = a * ((3.0 - a * a) / (1.0 - a * a)) ** (1.0 / 3.0) - a
     flip = None
-    crossings = np.flatnonzero((margins[:-1] > 0.0) & (margins[1:] <= 0.0))
-    if crossings.size:
-        i = crossings[0]
-        flip = _brent(lambda x: weak_stability_margin(w, x),
-                      r[i], r[i + 1], xtol=1.0e-12)
+    if u_rise < gap:
+        flip = _static_radius(a, math.asin(math.sqrt(u_rise / gap)))
     return FoliationScan(
         a=w.a,
         conserved_mass=w.mass,

@@ -32,10 +32,11 @@ a smooth periodic quadrature, which the midpoint rule sums to roundoff
 (Trefethen & Weideman, SIAM Review 56, 2014).  So the stepper stops at
 T/2, and ``evaluate`` folds every radius into [0, T/2].
 
-The other roots (the reach of a patch, the margin flip radius in
-``sweeps``) come from ``_brent``, the bracketed zero finder of Brent,
-*Algorithms for Minimization without Derivatives* (1973), ch. 4, in the
-form scipy's ``brentq`` runs; the package needs numpy alone.
+The same chart gives the radius at which the profile reaches a given u:
+r(theta) is that integral taken on [0, theta], which ``_static_radius``
+sums by Gauss-Legendre quadrature.  ``sweeps`` reads the weak-stability
+margin's flip radius from it, so the package needs no root finder and
+numpy alone.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import add, mul
 
 import numpy as np
 
 from .errors import RangeError, SolveError
+from .sphere import _gauss_legendre
 
 __all__ = [
     "WarpFactor",
@@ -77,73 +79,6 @@ _PATCH_TOL = 1.0e-13
 # a patch sum bounded by smax drops the orders whose term at smax is below
 # this fraction of its largest term, 2^-43 of the sum's last bit
 _ORDER_CUT = 2.0 ** -96
-# relative part of the root finder's tolerance, and its iteration cap
-_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
-_BRENT_MAXITER = 100
-
-
-def _brent(f, lo: float, hi: float, xtol: float) -> float:
-    """Zero of f inside [lo, hi], where f(lo) and f(hi) differ in sign.
-
-    Brent's method (1973, ch. 4): inverse quadratic or secant steps,
-    safeguarded by bisection of the current bracket.  Stops once half the
-    bracket is below (xtol + 4 eps |x|) / 2, as ``scipy.optimize.brentq``
-    with its defaults does; raises ``SolveError`` after 100 iterations.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"root finder: f({x:.17g}) is nan")
-        return fx
-
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(
-            f"root finder: f({lo:.17g}) and f({hi:.17g}) have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # keep the best estimate in xcur, the other end in xblk
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (xtol + _BRENT_RTOL * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise SolveError(
-        f"root finder: no convergence in {_BRENT_MAXITER} iterations "
-        f"on [{lo:.17g}, {hi:.17g}]")
 
 
 def _taylor_column(u0: float, up0: float, order: int = _BASE_ORDER) -> list:
@@ -225,11 +160,19 @@ class TaylorPatch:
         return smax <= self.trust and self.tail_bound(smax) < _PATCH_TOL
 
     def reach(self) -> float:
-        """The largest smax that ``covers`` accepts, to about 1e-12."""
-        if self.covers(self.trust):
-            return self.trust
-        return _brent(lambda x: self.tail_bound(x) - _PATCH_TOL,
-                      0.0, self.trust, xtol=1.0e-12)
+        """The largest smax that ``covers`` accepts, to about 1e-12: a
+        bisection of [0, trust] on the gate, which is monotone in smax,
+        keeping the accepted end, so ``covers(reach())`` always holds."""
+        lo, hi = 0.0, self.trust
+        if self.covers(hi):
+            return hi
+        while hi - lo > 1.0e-12:
+            mid = 0.5 * (lo + hi)
+            if self.covers(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def eval_delta(self, s, smax: float | None = None):
         """(u, u', u - u(r0), u' - u'(r0)) at offsets s, a float or an
@@ -501,6 +444,33 @@ def _static_period(a: float) -> float:
     u = a + gap * np.sin(theta) ** 2
     f = np.sqrt(u / (u + (2.0 * a + gap)))
     return 2.0 * math.sqrt(3.0) * math.pi / n * float(np.sum(f))
+
+
+@cache
+def _radius_nodes():
+    """The 32 Gauss-Legendre nodes and weights of ``_static_radius``,
+    built on first use."""
+    return _gauss_legendre(32)
+
+
+def _static_radius(a: float, theta: float) -> float:
+    """Radius r(theta) = 2 sqrt(3) int_0^theta sqrt(u / (u + a + b))
+    dtheta' of the profile with minimal radius a, where it reaches
+    u = a + (b - a) sin^2(theta), for theta in [0, pi/2].
+
+    The integrand of ``_static_period``, taken on [0, theta]: no longer
+    periodic, so summed by Gauss-Legendre quadrature, which converges as
+    fast on its analytic integrand.  At the margin flip angles of 30 values
+    of a in [1e-3, 0.7234], the 32-node sum lies within 4 ulp of a
+    40-digit quadrature, and 16 and 64 nodes give it to 7 ulp: the sum is
+    converged, and what is left is the rounding of the weights.
+    """
+    x, weights = _radius_nodes()
+    gap = _static_gap(a)
+    t = 0.5 * theta * (x + 1.0)
+    u = a + gap * np.sin(t) ** 2
+    f = np.sqrt(u / (u + (2.0 * a + gap)))
+    return math.sqrt(3.0) * theta * float(weights @ f)
 
 
 def conserved_mass(w: WarpFactor, r) -> float:

@@ -391,6 +391,25 @@ def test_sweep_rejects_eps_beyond_patch_reach():
     assert "epsilon 0.5 exceeds the reach 0.317" in err
 
 
+def test_sweep_rejects_eps_within_slice_norm(capsys):
+    """An --eps at or below slice_norm, where no draw is a graph, is a
+    usage error, not a vacuous pass."""
+    assert main(["sweep", "perturb", "--a", "0.5", "--n", "4",
+                 "--eps", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon 1e-09 must exceed tolerances slice_norm 1e-08" in (
+        captured.err)
+
+
+def test_scan_foliation_reports_the_flip_on_three_slices(capsys):
+    """Three slices show the margin no sign change at a = 0.7; the flip
+    comes from the profile, not from the grid."""
+    assert main(["scan", "foliation", "--a", "0.7", "--slices", "3"]) == 0
+    flip = json.loads(capsys.readouterr().out)["margin_flip_radius"]
+    assert flip == pytest.approx(2.2838411172779, rel=1e-12)
+
+
 def test_exit_code_mapping_invariant(monkeypatch, capsys):
     """An invariant failure surfaces as exit 3 with the record attached."""
     from hawkmass.errors import InvariantViolation

@@ -34,7 +34,6 @@ from hawkmass import (
 )
 from hawkmass import sweeps
 from hawkmass.sweeps import assert_sweep_passes
-from hawkmass.warp import _brent
 
 
 def small_config(**overrides):
@@ -72,6 +71,20 @@ def test_config_rejects_bad_seed_or_tolerances(overrides, named, monkeypatch):
     with pytest.raises(ValueError, match=f"^{named}$"):
         perturbation_sweep(small_config(**overrides))
     assert solves == []
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 1e-8])
+def test_config_rejects_epsilon_within_slice_norm(epsilon, monkeypatch):
+    """Every draw's C^2 norm is at most epsilon, so at or below slice_norm
+    every sample would be a slice and the sweep would pass with no graph;
+    such an epsilon is rejected by name, before any warp solve."""
+    solves = []
+    monkeypatch.setattr(sweeps, "solve_for_config", solves.append)
+    with pytest.raises(ValueError, match=(
+            f"^epsilon {epsilon:g} must exceed tolerances slice_norm 1e-08,")):
+        perturbation_sweep(small_config(epsilon=epsilon))
+    assert solves == []
+    small_config(epsilon=2e-8).validate()
 
 
 @pytest.mark.parametrize("name", ["a", "base_r"])
@@ -327,11 +340,12 @@ def test_foliation_scan_identities(w05):
 
 @pytest.mark.parametrize("a", [0.2, 0.3, 0.5, 0.9])
 def test_foliation_slope_matches_first_eigenvalue(a):
-    """dH/dr at the minimal slice equals -lambda_0 across the neck radii,
-    narrow necks included."""
+    """dH/dr at the minimal slice equals -lambda_0 to 1e-13 relative
+    across the neck radii, narrow necks included."""
     w = solve_warp_factor(a, 13.0)
     scan = foliation_scan(w, np.linspace(0.0, w.period, 8, endpoint=False))
-    assert abs(scan.dh_dr_at_zero + scan.first_eigenvalue_minimal) < 1e-6
+    lam0 = scan.first_eigenvalue_minimal
+    assert abs(scan.dh_dr_at_zero + lam0) <= 1e-13 * lam0
 
 
 def test_foliation_scan_mean_curvature_odd(w05):
@@ -344,7 +358,11 @@ def test_foliation_scan_mean_curvature_odd(w05):
 
 def _reference_foliation_scan(w, r_grid):
     """The scan as a loop of scalar calls per slice, kept as the
-    reference the array scan must reproduce byte for byte."""
+    reference the array scan must reproduce byte for byte, but for the
+    margin flip radius: here scipy's brentq on the margin's first sign
+    change at r >= 0 on the grid, None where the grid shows none."""
+    from scipy.optimize import brentq
+
     r = np.asarray(r_grid, dtype=float)
     period = w.period
     masses = np.empty(r.size)
@@ -365,15 +383,15 @@ def _reference_foliation_scan(w, r_grid):
             sign_ok = False
         if period / 2.0 + edge < s < period - edge and not hi > 0.0:
             sign_ok = False
-    h_step = 1.0e-2 * w.a
+    h_step = 2.0e-4 * w.a
     h2, h1, hm1, hm2 = (slice_geometry(w, k * h_step).mean_curvature
                         for k in (2, 1, -1, -2))
     dh = (-h2 + 8.0 * h1 - 8.0 * hm1 + hm2) / (12.0 * h_step)
     lam0 = float(jacobi_spectrum(w, 0.0, 0).lambda_by_degree[0])
     flip = None
     for i in range(r.size - 1):
-        if margins[i] > 0.0 >= margins[i + 1]:
-            flip = _brent(lambda x: weak_stability_margin(w, x),
+        if r[i] >= 0.0 and margins[i] > 0.0 >= margins[i + 1]:
+            flip = brentq(lambda x: weak_stability_margin(w, x),
                           r[i], r[i + 1], xtol=1.0e-12)
             break
     return FoliationScan(
@@ -391,8 +409,13 @@ def test_foliation_scan_matches_scalar_reference(a):
     w = solve_warp_factor(a, 13.0)
     for grid in (np.linspace(0.0, w.period, 64, endpoint=False),
                  np.linspace(-w.r_max, w.r_max, 97)):
-        assert (foliation_scan(w, grid).to_json()
-                == _reference_foliation_scan(w, grid).to_json())
+        got = json.loads(foliation_scan(w, grid).to_json())
+        ref = json.loads(_reference_foliation_scan(w, grid).to_json())
+        flip, ref_flip = (d.pop("margin_flip_radius") for d in (got, ref))
+        assert json.dumps(got) == json.dumps(ref)
+        assert (flip is None) == (ref_flip is None)
+        if flip is not None:
+            assert abs(flip - ref_flip) <= 1e-12 * ref_flip
 
 
 _WARPS = {}
@@ -428,8 +451,8 @@ def test_slice_routes_on_arrays_match_scalars(a, fractions):
 
 def test_foliation_scan_evaluate_calls_do_not_grow_with_slices(w05,
                                                                monkeypatch):
-    """The scan evaluates its grid in a few array calls; only the Brent
-    refinement of the margin flip evaluates one radius at a time."""
+    """The scan evaluates its grid in a few array calls, and the margin
+    flip, which comes from the static chart, evaluates none."""
     calls = []
     evaluate = WarpFactor.evaluate
 
@@ -441,7 +464,7 @@ def test_foliation_scan_evaluate_calls_do_not_grow_with_slices(w05,
     for n in (16, 64, 256):
         calls.clear()
         foliation_scan(w05, np.linspace(0.0, w05.period, n, endpoint=False))
-        assert len(calls) <= 32
+        assert len(calls) <= 6
         assert n in calls
 
 

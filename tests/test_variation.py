@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkmass import (
@@ -16,8 +18,10 @@ from hawkmass import (
     second_variation_minimal,
     slice_second_variation,
     strict_stability_inequality_check,
+    solve_warp_factor,
     weak_stability_margin,
 )
+from hawkmass.warp import A_MAX, A_MIN
 
 # degree-1 value at (a=0.5, r=0) for unit slice L2 norm, by substituting
 # the eigenvalue 11 into the minimal-slice form: (11/8pi)(0.75 - 2.75)
@@ -289,3 +293,26 @@ def test_sweep_deficit_obeys_reported_coercivity(w05):
     norms = sobolev_norms(phi, u)
     deficit = hawking_mass_deficit(w05, 0.0, phi, 1.0)
     assert deficit < -(rep.c_est / 4.0) * norms.w22 ** 2 * 0.9
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(A_MIN, A_MAX),
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                          max_size=8))
+@example(a=A_MIN, fractions=[0.0, 0.25, 0.5, 0.75])
+@example(a=A_MAX, fractions=[0.0, 0.25, 0.5, 0.75])
+def test_degree_one_eigenvalue_and_negative_form_over_the_family(a,
+                                                                 fractions):
+    """On every slice lambda_1 = 6 m / u^3, and q_l < 0 for 1 <= l <= 16.
+
+    lambda_1 reads m through 1 - u'^2 - u^2 / 3, which is O(m / u), so
+    its relative error grows as 1/a; the bound is 1e-13 / a, about 10x the
+    worst measured."""
+    w = solve_warp_factor(a, 13.0)
+    assert w.period < 13.0
+    for r in (w.period * np.array(fractions)).tolist():
+        lam1 = jacobi_spectrum(w, r, 1).lambda_by_degree[1]
+        u = w.evaluate(r)[0]
+        ref = 6.0 * w.mass / u**3
+        assert abs(lam1 - ref) <= 1e-13 / a * ref
+        assert np.all(second_variation_by_degree(w, r, 16)[1:] < 0.0)

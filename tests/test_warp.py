@@ -20,14 +20,14 @@ from hawkmass import (
     slice_mass_derivative,
     solve_warp_factor,
     static_chart_roots,
+    weak_stability_margin,
 )
-from hawkmass import sweeps, warp
+from hawkmass import warp
 from hawkmass.warp import (
-    _BRENT_RTOL,
+    _PATCH_TOL,
     A_MAX,
     A_MIN,
     TaylorPatch,
-    _brent,
     _static_gap,
     _static_period,
     _taylor_column,
@@ -138,32 +138,40 @@ def test_period_is_reported_for_every_range(w05):
     assert solve_warp_factor(0.5, 0.5).period == w05.period
 
 
-def _static_chart_profile(a, r, n=4096):
-    """(u, u') at radii r >= 0 from the static chart, independent of the
-    stepper and of any fold: u = a + (b - a) sin^2(theta) with
-    r(theta) = 2 sqrt(3) int_0^theta g, g = sqrt(u / (u + a + b)),
-    integrated term by term from the Fourier series of g and inverted by
-    Newton's method, and u' = (du/dtheta) / (2 sqrt(3) g)."""
+_K3 = 2.0 * np.sqrt(3.0)
+
+
+def _static_chart_g(a, theta):
+    """g = sqrt(u / (u + a + b)) at u = a + (b - a) sin^2(theta), with b
+    from the quadratic, not from ``_static_gap``."""
     b = 0.5 * (np.sqrt(12.0 - 3.0 * a * a) - a)
-    gap, k3 = b - a, 2.0 * np.sqrt(3.0)
+    u = a + (b - a) * np.sin(theta) ** 2
+    return np.sqrt(u / (u + a + b))
 
-    def g(theta):
-        u = a + gap * np.sin(theta) ** 2
-        return np.sqrt(u / (u + a + b))
 
-    coef = np.fft.rfft(g(np.pi * np.arange(n) / n)).real / n
+def _static_chart_radius(a, theta, n=4096):
+    """r(theta) = 2 sqrt(3) int_0^theta g for an array theta, integrated
+    term by term from the Fourier series of g: independent of the stepper,
+    of any fold and of ``warp._static_radius``'s quadrature."""
+    coef = np.fft.rfft(_static_chart_g(a, np.pi * np.arange(n) / n)).real / n
     k = np.flatnonzero(np.abs(coef) > 1e-17 * coef[0])[1:]
-    sine = coef[k] / k
+    return _K3 * (coef[0] * theta
+                  + np.sin(2.0 * np.outer(theta, k)) @ (coef[k] / k))
 
-    def radius(theta):
-        return k3 * (coef[0] * theta + np.sin(2.0 * np.outer(theta, k)) @ sine)
 
-    table = np.linspace(0.0, np.pi * (r.max() / (k3 * np.pi * coef[0]) + 0.01),
-                        2049)
-    theta = np.interp(r, radius(table), table)
+def _static_chart_profile(a, r):
+    """(u, u') at radii r >= 0 from the static chart: u = a + (b - a)
+    sin^2(theta), with ``_static_chart_radius`` inverted by Newton's
+    method, and u' = (du/dtheta) / (2 sqrt(3) g)."""
+    gap = 0.5 * (np.sqrt(12.0 - 3.0 * a * a) - a) - a
+    period = _static_chart_radius(a, np.array([np.pi]))[0]
+    table = np.linspace(0.0, np.pi * (r.max() / period + 0.01), 2049)
+    theta = np.interp(r, _static_chart_radius(a, table), table)
     for _ in range(8):
-        theta = theta - (radius(theta) - r) / (k3 * g(theta))
-    return a + gap * np.sin(theta) ** 2, gap * np.sin(2.0 * theta) / (k3 * g(theta))
+        g = _static_chart_g(a, theta)
+        theta = theta - (_static_chart_radius(a, theta) - r) / (_K3 * g)
+    g = _static_chart_g(a, theta)
+    return a + gap * np.sin(theta) ** 2, gap * np.sin(2.0 * theta) / (_K3 * g)
 
 
 @pytest.mark.parametrize("a", [A_MIN, 0.01, 0.2, 0.5, 0.9, A_MAX])
@@ -682,81 +690,94 @@ def test_taylor_patch_memo_keeps_the_last_patch(w05):
     assert w05.taylor_patch(0.4) is not patch     # one entry only
 
 
-def _shifted_cubic(root, c, sign):
-    return lambda x: sign * (x - root) * ((x - root) ** 2 + c)
-
-
-def _shifted_tanh(root, c, sign):
-    return lambda x: sign * np.tanh((1.0 + c) * (x - root))
-
-
-@settings(max_examples=200, deadline=None)
-@given(root=st.floats(-5.0, 5.0), below=st.floats(1e-3, 10.0),
-       above=st.floats(1e-3, 10.0),
-       c=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
-       sign=st.sampled_from([1.0, -1.0]), swap=st.booleans(),
-       family=st.sampled_from([_shifted_cubic, _shifted_tanh]),
-       xtol=st.sampled_from([1e-14, 1e-12, 1e-8]))
-@example(root=5.48748475504075e-284, below=1.0, above=1.0, c=0.0, sign=1.0,
-         swap=False, family=_shifted_cubic, xtol=1e-14)
-def test_brent_finds_bracketed_root(root, below, above, c, sign, swap,
-                                    family, xtol):
-    """Within xtol + 4 eps |x| of the one root, on the side its residual
-    says: both families are odd about the root, so a nonzero f(x) has
-    exactly the sign of x - root in floating point (a cube of a tiny
-    x - root can underflow to zero).  The iterates are
-    those of scipy's brentq, so the roots agree bit for bit, and both
-    give up on the same slow triple roots (c = 0)."""
-    from scipy.optimize import brentq
-
-    f = family(root, c, sign)
-    ends = (root + above, root - below) if swap else (root - below, root + above)
-    try:
-        x = _brent(f, *ends, xtol=xtol)
-    except SolveError:
-        assert family is _shifted_cubic and c == 0.0
-        with pytest.raises(RuntimeError, match="converge"):
-            brentq(f, *ends, xtol=xtol)
-        return
-    assert abs(x - root) <= xtol + _BRENT_RTOL * abs(x)
-    assert f(x) == 0.0 or np.sign(f(x)) == sign * np.sign(x - root)
-    assert x == brentq(f, *ends, xtol=xtol)
-
-
-def test_brent_rejects_unbracketed_interval():
-    with pytest.raises(ValueError, match="same sign"):
-        _brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
-    with pytest.raises(ValueError, match="nan"):
-        _brent(lambda x: np.nan if x > 0.5 else x - 0.75, 0.0, 1.0,
-               xtol=1e-12)
-
-
-def test_brent_raises_when_not_converged(monkeypatch):
-    monkeypatch.setattr(warp, "_BRENT_MAXITER", 2)
-    with pytest.raises(SolveError, match="no convergence"):
-        _brent(np.tanh, -3.0, 5.0, xtol=1e-14)
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.2, 0.9), r0_16=st.integers(0, 192))
+@example(a=0.5, r0_16=0)
+@example(a=0.5148828075211509, r0_16=191)
+def test_reach_is_the_largest_accepted_offset(a, r0_16):
+    """The gate accepts the reach and refuses every offset 1e-12 past it,
+    unless the reach is the whole trust radius."""
+    patch = solve_warp_factor(a, 13.0).taylor_patch(r0_16 / 16.0)
+    reach = patch.reach()
+    assert 0.0 < reach <= patch.trust
+    assert patch.covers(reach)
+    assert reach == patch.trust or not patch.covers(reach + 1e-12)
 
 
 @pytest.mark.parametrize("a", np.linspace(0.2, 0.9, 8))
-def test_brent_matches_scipy_brentq_at_call_sites(a, monkeypatch):
+def test_reach_and_flip_agree_with_scipy(a):
     """The patch reach and the margin flip radius agree with scipy's
-    brentq on the same brackets and tolerances; the period is no root."""
+    brentq on the zero of the tail bound and on the margin's first sign
+    change on a grid, to 1e-12; where the grid shows no sign change, the
+    scan reports no flip."""
     from scipy.optimize import brentq
 
     w = solve_warp_factor(float(a), 13.0)
+    for r0 in (0.0, 11.9375):
+        patch = w.taylor_patch(r0)
+        ref = patch.trust
+        if not patch.covers(ref):
+            ref = brentq(lambda x: patch.tail_bound(x) - _PATCH_TOL, 0.0, ref,
+                         xtol=1e-12)
+        assert abs(patch.reach() - ref) <= 1e-12
     grid = np.linspace(0.0, w.period, 256, endpoint=False)
-    patches = [w.taylor_patch(r0) for r0 in (0.0, 11.9375)]
+    margins = weak_stability_margin(w, grid)
+    flip = foliation_scan(w, grid).margin_flip_radius
+    down = np.flatnonzero((margins[:-1] > 0.0) & (margins[1:] <= 0.0))
+    assert (flip is None) == (down.size == 0)
+    if flip is not None:
+        i = down[0]
+        ref = brentq(lambda x: weak_stability_margin(w, x), grid[i],
+                     grid[i + 1], xtol=1e-12)
+        assert abs(flip - ref) <= 1e-12
 
-    def roots():
-        return ([foliation_scan(w, grid).margin_flip_radius]
-                + [p.reach() for p in patches])
 
-    ours = roots()
-    scipy_brent = lambda f, lo, hi, xtol: float(brentq(f, lo, hi, xtol=xtol))
-    monkeypatch.setattr(warp, "_brent", scipy_brent)
-    monkeypatch.setattr(sweeps, "_brent", scipy_brent)
-    theirs = roots()
-    assert (ours[0] is None) == (theirs[0] is None)
-    for x, y in zip(ours, theirs):
-        if x is not None:
-            assert abs(x - y) <= 1e-12, (ours, theirs)
+def _u_star(a):
+    """The radius u* where the degree-1 eigenvalue 6 m / u^3 meets the
+    minimal slice's lambda_0 = 1 / a^2 - 1."""
+    return a * ((3.0 - a * a) / (1.0 - a * a)) ** (1.0 / 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(A_MIN, 0.72, exclude_max=True))
+@example(a=A_MIN)
+@example(a=0.7)
+@example(a=np.nextafter(0.72, 0.0))
+def test_margin_flip_from_the_static_chart(a):
+    """u(r*) = u* to 1e-13 relative; the margins are positive on a grid
+    below r* and negative just past it; and r* agrees to 1e-13 relative
+    with the Fourier series of the static chart at theta*."""
+    w = solve_warp_factor(a, 13.0)
+    flip = foliation_scan(w, [0.0, 1.0]).margin_flip_radius
+    u_star = _u_star(a)
+    assert abs(w.evaluate(flip)[0] - u_star) <= 1e-13 * u_star
+    below = np.linspace(0.0, flip * (1.0 - 1e-8), 64)
+    assert np.all(weak_stability_margin(w, below) > 0.0)
+    assert weak_stability_margin(w, flip * (1.0 + 1e-8)) < 0.0
+    theta = np.arcsin(np.sqrt((u_star - a) / _static_gap(a)))
+    ref = _static_chart_radius(a, np.array([theta]))[0]
+    assert abs(flip - ref) <= 1e-13 * ref
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(0.73, A_MAX))
+@example(a=0.73)
+@example(a=A_MAX)
+def test_no_margin_flip_past_the_threshold(a):
+    """For a above 0.72345 the margin stays positive over the period, and
+    the scan reports no flip."""
+    w = solve_warp_factor(a, 13.0)
+    scan = foliation_scan(w, np.linspace(0.0, w.period, 64, endpoint=False))
+    assert scan.margin_flip_radius is None
+    assert np.all(scan.margins > 0.0)
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.7])
+def test_margin_flip_does_not_depend_on_the_grid(a):
+    """The flip has the same bits at 2, 3 and 64 slices and on a grid
+    over [-13, 13]."""
+    w = solve_warp_factor(a, 13.0)
+    flips = {foliation_scan(w, grid).margin_flip_radius
+             for grid in [np.linspace(0.0, w.period, n, endpoint=False)
+                          for n in (2, 3, 64)] + [np.linspace(-13.0, 13.0, 97)]}
+    assert len(flips) == 1 and None not in flips
