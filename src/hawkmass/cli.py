@@ -12,9 +12,9 @@ The profile depends on --a alone: each command takes the one solve per
 
 Exit codes: 0 success, 1 computational failure or exhausted memory,
 2 usage error, 3 invariant violation (offending record on stderr).  Each
-size flag (--grid-lmax, --slices, spectrum --lmax, the geometry grid a
-sweep's --lmax or a field's lmax implies) is bounded and checked by name
-before anything is allocated.
+size flag (--grid-lmax, --slices, spectrum --lmax, sweep --n, the geometry
+grid a sweep's --lmax or a field's lmax implies) is bounded and checked by
+name before anything is allocated.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from .variation import (
 from .warp import WarpFactor, slice_geometry
 
 _DEF_FD_STEP = 1.0e-3
-# the most slices a scan and degrees a spectrum take: a scan holds about
-# 800 bytes per slice with its JSON, 80 MB here
+# the most slices a scan, degrees a spectrum and samples a sweep take: a
+# scan holds about 800 bytes per slice with its JSON, 80 MB here
 _MAX_POINTS = 100_000
 
 
@@ -178,6 +178,7 @@ def _cmd_variation_second(args) -> int:
 
 
 def _cmd_sweep_perturb(args) -> int:
+    _check_size("--n", args.n, 1, _MAX_POINTS)
     cfg = SweepConfig(a=args.a, base_r=args.r, epsilon=args.eps,
                       n_samples=args.n, master_seed=args.seed,
                       lmax=args.lmax)
@@ -269,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=1.0e-2,
                    help="C2 radius of the ensemble")
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=int, default=100,
+                   help=f"number of samples, 1 to {_MAX_POINTS}")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--lmax", type=int, default=16)
     p.add_argument("--format", choices=("json", "csv"), default="csv")

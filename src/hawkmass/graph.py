@@ -26,6 +26,14 @@ integrates the kept differences.  Both run on a block of graphs over one
 base slice as well, node arrays ``(B, n_lat, n_lon)`` with one quadrature
 sum per row; a sweep builds its samples that way, and each row equals the
 graph built on its own.
+
+Both write every node array in place, by ufuncs with ``out=``, into the
+buffers of a ``sphere._Workspace``.  A sweep passes the one workspace it
+keeps for all its blocks, so no block allocates node arrays, and its
+block surfaces never leave the sweep.  ``build_graph`` and the other
+single-graph routes run the same code on ``sphere._Fresh``, which makes
+a new array for every request, so a surface a caller holds shares no
+buffer with any other.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RangeError, SolveError
-from .sphere import HarmonicField, SphereGrid, _geometry_lmax, get_grid
+from .sphere import (HarmonicField, SphereGrid, _Fresh, _geometry_lmax,
+                     _Workspace, get_grid)
 from .warp import WarpFactor, _mass_from_integrals
 
 __all__ = [
@@ -88,6 +97,9 @@ class GraphSurface:
     # (u0, u0', u^2 W - u0^2, H - H0) against the base slice; None beyond
     # the patch reach
     _delta: tuple = field(repr=False, default=None)
+    # the sweep workspace that holds the node arrays; None for a surface
+    # with arrays of its own
+    _ws: _Workspace | None = field(repr=False, default=None)
 
     @cached_property
     def shape_sq(self) -> np.ndarray:
@@ -160,14 +172,21 @@ class GraphSurface:
             )
         u0, up0, d_area_el, d_mean = self._delta
         h0 = -2.0 * up0 / u0
-        d_willmore_el = (d_mean * (self.mean_curvature + h0) * self.area_element
-                         + h0 * h0 * d_area_el)
+        take = (_Fresh() if self._ws is None else self._ws).take
+        t1, t2 = take("scratch", d_mean.shape, d_mean.shape)
+        # the Willmore element's difference,
+        # d_mean * (H + h0) * area_element + h0 * h0 * d_area_el
+        d_willmore_el = np.add(self.mean_curvature, h0, out=t1)
+        np.multiply(d_mean, d_willmore_el, out=d_willmore_el)
+        np.multiply(d_willmore_el, self.area_element, out=d_willmore_el)
+        np.multiply(h0 * h0, d_area_el, out=t2)
+        np.add(d_willmore_el, t2, out=d_willmore_el)
 
         qw = self.grid.quad_weights
         area0 = 4.0 * np.pi * u0 * u0
         will0 = 16.0 * np.pi * up0 * up0
-        d_area = _node_sum(qw * d_area_el)
-        d_will = _node_sum(qw * d_willmore_el)
+        d_area = _node_sum(np.multiply(qw, d_area_el, out=t2))
+        d_will = _node_sum(np.multiply(qw, d_willmore_el, out=t1))
         area = area0 + d_area
         will = will0 + d_will
         s0 = np.sqrt(area0 / (16.0 * np.pi))
@@ -204,20 +223,38 @@ def _node_sum(values: np.ndarray):
 
 
 def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
-                   scale, grid: SphereGrid, jet: dict) -> GraphSurface:
+                   scale, grid: SphereGrid, jet: dict,
+                   ws: _Workspace | None = None) -> GraphSurface:
     """The graph r = base_r + scale * phi over the jet of phi on ``grid``:
     its pointwise geometry, each curvature the base slice's plus a
     difference formed without cancellation.  A block of fields with its
     block jet gives a block of graphs, with a float scale or one scale per
     row, shape (B, 1, 1); the range check and the patch gate then hold for
-    every row, and each row has the bits of its own graph."""
+    every row, and each row has the bits of its own graph.
+
+    Every node array is a buffer of ``ws``, written by ufuncs with
+    ``out=``; each comment gives the expression a buffer holds, with the
+    operand order and association the calls keep.  The surface holds
+    ``ws``, so that ``mass_deficit`` takes its scratch there too.  With no
+    ``ws`` every array is new and the surface holds no workspace: nothing
+    else ever writes the arrays of a surface built that way."""
     base_r = float(base_r)
     t = scale if np.ndim(scale) else float(scale)
+    buffers = _Fresh() if ws is None else ws
+    take = buffers.take
+    shape = jet["f"].shape
     st = grid.sin_theta[:, None]
     ct = grid.x[:, None]
+    st_sq = st * st
+    # the build's temporaries; the surface holds none of them
+    (t1, t2, rt, rl, u_sq, tilt_m1, w_sq, d_uup, inv_gap, slope, rl_up,
+     dh_tt, dh_ll) = take("scratch", *[shape] * 13)
+    # the arrays the surface holds
+    (grad_sq, tilt, area_el, d_area_el, da_tt, da_tl, da_ll, h_tt, h_tl, h_ll,
+     d_mean, mean) = take("surface", *[shape] * 12)
 
-    s_shift = t * jet["f"]
-    smax = float(np.max(np.abs(s_shift)))
+    s_shift = np.multiply(t, jet["f"], out=t2)
+    smax = float(np.max(np.abs(s_shift, out=t1)))
     if abs(base_r) + smax > w.r_max:
         raise RangeError(
             f"graph leaves tabulated range: |{base_r}| + {smax:.3g} > {w.r_max}"
@@ -228,51 +265,93 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     # covers grows with smax, so the largest row decides for the block
     inside = patch.covers(smax)
     if inside:
-        u, up, du, dup = patch.eval_delta(s_shift, smax)
+        u, up, du, dup = patch.eval_delta(s_shift, smax, _ws=buffers)
     else:
         u, up = w.evaluate(base_r + s_shift)
         du, dup = u - u0, up - up0
 
     # first derivatives of rho on the unit sphere
-    rt = t * jet["ft"]
-    rl = t * jet["fl"]
-    grad_sq = rt * rt + (rl / st) ** 2          # |grad rho|^2 on unit sphere
-    w_sq = 1.0 + grad_sq / (u * u)
-    tilt = np.sqrt(w_sq)
-    area_el = u * u * tilt
+    np.multiply(t, jet["ft"], out=rt)
+    np.multiply(t, jet["fl"], out=rl)
+    np.multiply(u, u, out=u_sq)
+    # |grad rho|^2 on the unit sphere: rt * rt + (rl / st) ** 2
+    np.multiply(rt, rt, out=grad_sq)
+    np.add(grad_sq, np.square(np.divide(rl, st, out=t1), out=t1), out=grad_sq)
+    # tilt W = sqrt(w_sq), w_sq = 1 + grad_sq / (u * u); tilt_m1 holds
+    # grad_sq / (u * u) until W - 1 replaces it
+    np.divide(grad_sq, u_sq, out=tilt_m1)
+    np.add(1.0, tilt_m1, out=w_sq)
+    np.sqrt(w_sq, out=tilt)
+    np.multiply(u_sq, tilt, out=area_el)
 
     # differences against the base slice, every term O(scale)
-    tilt_m1 = (grad_sq / (u * u)) / (tilt + 1.0)            # W - 1
-    d_area_el = du * (u + u0) + u * u * tilt_m1             # u^2 W - u0^2
-    d_uup = du * up + u0 * dup                              # u u' - u0 u0'
-    inv_gap = -tilt_m1 / tilt                               # 1/W - 1
-    slope = 2.0 * up / u
+    # W - 1 = (grad_sq / (u * u)) / (tilt + 1)
+    np.divide(tilt_m1, np.add(tilt, 1.0, out=t1), out=tilt_m1)
+    u_sum = np.add(u, u0, out=t2)
+    # u^2 W - u0^2 = du * (u + u0) + u * u * tilt_m1
+    np.multiply(du, u_sum, out=d_area_el)
+    np.add(d_area_el, np.multiply(u_sq, tilt_m1, out=t1), out=d_area_el)
+    # u u' - u0 u0' = du * up + u0 * dup
+    np.multiply(du, up, out=d_uup)
+    np.add(d_uup, np.multiply(u0, dup, out=t1), out=d_uup)
+    # 1/W - 1 = -tilt_m1 / tilt
+    np.divide(np.negative(tilt_m1, out=inv_gap), tilt, out=inv_gap)
+    # 2 u' / u
+    np.divide(np.multiply(2.0, up, out=slope), u, out=slope)
     # second fundamental form minus A0 = -u0 u0' g_round; the covariant
-    # Hessian of rho enters inline, so its node arrays die with each line
-    da_tt = ((t * jet["ftt"] - d_uup - slope * rt * rt) / tilt
-             - u0 * up0 * inv_gap)
-    da_tl = (t * (jet["ftl"] - (ct / st) * jet["fl"])
-             - slope * rt * rl) / tilt
-    da_ll = (
-        (t * (jet["fll"] + st * ct * jet["ft"]) - d_uup * st * st
-         - slope * rl * rl) / tilt
-        - u0 * up0 * st * st * inv_gap
-    )
+    # Hessian of rho enters inline
+    # da_tt = (t * ftt - d_uup - slope * rt * rt) / tilt - u0 * up0 * inv_gap
+    np.multiply(t, jet["ftt"], out=da_tt)
+    np.subtract(da_tt, d_uup, out=da_tt)
+    np.multiply(np.multiply(slope, rt, out=t1), rt, out=t1)
+    np.divide(np.subtract(da_tt, t1, out=da_tt), tilt, out=da_tt)
+    np.subtract(da_tt, np.multiply(u0 * up0, inv_gap, out=t1), out=da_tt)
+    # da_tl = (t * (ftl - (ct / st) * fl) - slope * rt * rl) / tilt
+    np.multiply(ct / st, jet["fl"], out=t1)
+    np.multiply(t, np.subtract(jet["ftl"], t1, out=t1), out=da_tl)
+    np.multiply(np.multiply(slope, rt, out=t1), rl, out=t1)
+    np.divide(np.subtract(da_tl, t1, out=da_tl), tilt, out=da_tl)
+    # da_ll = (t * (fll + st * ct * ft) - d_uup * st * st - slope * rl * rl)
+    #         / tilt - u0 * up0 * st * st * inv_gap
+    np.add(jet["fll"], np.multiply(st * ct, jet["ft"], out=t1), out=t1)
+    np.multiply(t, t1, out=da_ll)
+    np.multiply(np.multiply(d_uup, st, out=t1), st, out=t1)
+    np.subtract(da_ll, t1, out=da_ll)
+    np.multiply(np.multiply(slope, rl, out=t1), rl, out=t1)
+    np.divide(np.subtract(da_ll, t1, out=da_ll), tilt, out=da_ll)
+    np.multiply(u0 * up0 * st * st, inv_gap, out=t1)
+    np.subtract(da_ll, t1, out=da_ll)
     # inverse induced metric, Sherman-Morrison form, minus the round
-    # slice's diag(1, 1 / sin^2) / u0^2; rho_lambda raised
-    denom = u * u * w_sq
-    rl_up = rl / (st * st)
-    d_usq_inv = -du * (u + u0) / (u * u * u0 * u0)          # u^-2 - u0^-2
-    dh_tt = d_usq_inv - rt * rt / (denom * u * u)
-    dh_ll = d_usq_inv / (st * st) - rl_up * rl_up / (denom * u * u)
-    h_tt = 1.0 / (u0 * u0) + dh_tt
-    h_tl = -rt * rl_up / (denom * u * u)        # the round slice's is 0
-    h_ll = 1.0 / (u0 * u0 * st * st) + dh_ll
-    # H - H0 = dh : A0 + h : dA, with H0 = -2 u0' / u0
-    d_mean = (
-        -u0 * up0 * (dh_tt + st * st * dh_ll)
-        + h_tt * da_tt + 2.0 * h_tl * da_tl + h_ll * da_ll
-    )
+    # slice's diag(1, 1 / sin^2) / u0^2; rho_lambda raised.  The
+    # denominator is denom * u * u, denom = u * u * w_sq
+    denom = np.multiply(u_sq, w_sq, out=w_sq)
+    np.multiply(np.multiply(denom, u, out=denom), u, out=denom)
+    np.divide(rl, st_sq, out=rl_up)
+    # u^-2 - u0^-2 = -du * (u + u0) / (u * u * u0 * u0)
+    d_usq_inv = np.multiply(np.negative(du, out=t1), u_sum, out=t1)
+    np.multiply(np.multiply(u_sq, u0, out=t2), u0, out=t2)
+    np.divide(d_usq_inv, t2, out=d_usq_inv)
+    # dh_tt = d_usq_inv - rt * rt / (denom * u * u)
+    np.divide(np.multiply(rt, rt, out=t2), denom, out=t2)
+    np.subtract(d_usq_inv, t2, out=dh_tt)
+    # dh_ll = d_usq_inv / (st * st) - rl_up * rl_up / (denom * u * u)
+    np.divide(d_usq_inv, st_sq, out=dh_ll)
+    np.divide(np.multiply(rl_up, rl_up, out=t2), denom, out=t2)
+    np.subtract(dh_ll, t2, out=dh_ll)
+    np.add(1.0 / (u0 * u0), dh_tt, out=h_tt)
+    # -rt * rl_up / (denom * u * u); the round slice's is 0
+    np.multiply(np.negative(rt, out=t2), rl_up, out=h_tl)
+    np.divide(h_tl, denom, out=h_tl)
+    np.add(1.0 / (u0 * u0 * st * st), dh_ll, out=h_ll)
+    # H - H0 = dh : A0 + h : dA, with H0 = -2 u0' / u0:
+    # -u0 * up0 * (dh_tt + st * st * dh_ll) + h_tt * da_tt
+    # + 2.0 * h_tl * da_tl + h_ll * da_ll
+    np.add(dh_tt, np.multiply(st_sq, dh_ll, out=t1), out=t1)
+    np.multiply(-u0 * up0, t1, out=d_mean)
+    np.add(d_mean, np.multiply(h_tt, da_tt, out=t1), out=d_mean)
+    np.multiply(np.multiply(2.0, h_tl, out=t1), da_tl, out=t1)
+    np.add(d_mean, t1, out=d_mean)
+    np.add(d_mean, np.multiply(h_ll, da_ll, out=t1), out=d_mean)
     return GraphSurface(
         warp=w,
         base_r=base_r,
@@ -283,11 +362,13 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
         uprime=up,
         tilt=tilt,
         area_element=area_el,
-        mean_curvature=-2.0 * up0 / u0 + d_mean,
+        mean_curvature=np.add(-2.0 * up0 / u0, d_mean, out=mean),
         _hinv=(h_tt, h_tl, h_ll),
-        _sff=(-u0 * up0 + da_tt, da_tl, -u0 * up0 * st * st + da_ll),
+        _sff=(np.add(-u0 * up0, da_tt, out=da_tt), da_tl,
+              np.add(-u0 * up0 * st * st, da_ll, out=da_ll)),
         _grad_sq=grad_sq,
         _delta=(u0, up0, d_area_el, d_mean) if inside else None,
+        _ws=ws,
     )
 
 

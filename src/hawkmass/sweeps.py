@@ -12,10 +12,16 @@ unscaled fields and one array pass of norms, graph geometry and deficits,
 with the block on the leading axis.  Synthesis and the norms are linear or
 positively homogeneous in the field, so each row scales the unscaled jet
 and norms by its own factor.  Each row computes the bits of a sample run
-on its own through the public calls.  Records are fully deterministic
-functions of the config (per-sample generators seeded by (master_seed,
-index)), so reruns cannot change a byte of the payload; wall-clock
-metadata lives in a separate sidecar dict.
+on its own through the public calls.  A sweep keeps one workspace of node
+buffers (``sphere._Workspace``) for all its blocks, sized by the first
+(min(``_SWEEP_BLOCK``, n) rows): the jet, the norms, the graphs and the
+deficits of every block are written into it in place, a partial last
+block into the same buffers, and a block's graphs never leave
+``_sample_block``.  Allocating those arrays afresh in each block let the
+C heap trim and fault back about 1 MiB per block.  Records are fully
+deterministic functions of the config (per-sample generators seeded by
+(master_seed, index)), so reruns cannot change a byte of the payload;
+wall-clock metadata lives in a separate sidecar dict.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .sphere import (
     HarmonicField,
     _geometry_lmax,
     _sobolev_norms,
+    _Workspace,
     get_grid,
 )
 from .warp import (_MAX_RANGE, WarpFactor, _static_gap, _static_radius,
@@ -63,9 +70,9 @@ __all__ = [
 # the classifier's bound on residual, mean curvature and deviation
 _CRITICAL_TOL = 1.0e-8
 
-# samples per block, one stacked jet each: the block's node temporaries
-# grow with it, and 16 already costs the sweep about 7% of its peak memory
-# for about 15% more speed
+# samples per block, one stacked jet each: the sweep's node buffers grow
+# with it, and 16 doubles them.  16 ran 1.07x as fast as 8 (median of 16
+# in-process pairs, measured before the sweep had its workspace)
 _SWEEP_BLOCK = 8
 
 
@@ -253,11 +260,13 @@ def draw_perturbation(rng: np.random.Generator, lmax: int, epsilon: float,
     return HarmonicField(raw.coeffs[0]), float(target[0]), float(scale[0])
 
 
-def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float) -> tuple:
+def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float,
+                ws: _Workspace | None = None) -> tuple:
     """``draw_perturbation`` for a block: one row per generator, each
     drawn in the contract's order.  Returns the unscaled block field, the
     arrays of targets and scales, and the geometry grid with the block's
-    jet and norms on it, all unscaled."""
+    jet and norms on it, all unscaled; the jet and the norms' node
+    temporaries are buffers of ``ws`` when one is given."""
     deg_max = max(1, lmax // 2)
     ll = np.arange(1, deg_max + 1)
     damping = np.repeat(ll * ll, 2 * ll + 1)
@@ -269,25 +278,29 @@ def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float) -> tuple:
     raw = HarmonicField(coeffs)
     # the geometry grid is also the grid sobolev_norms picks
     grid = get_grid(_geometry_lmax(deg_max))
-    jet = grid.synthesize_jet(raw.padded(grid.lmax))
-    norms = _sobolev_norms(raw, u_base, grid, jet)
+    jet = grid.synthesize_jet(raw.padded(grid.lmax), _ws=ws)
+    norms = _sobolev_norms(raw, u_base, grid, jet, ws)
     return raw, target, target / norms.c2_bound, grid, jet, norms
 
 
 def _sample_block(cfg: SweepConfig, w: WarpFactor, form: QuadraticFormReport,
-                  u_base: float, indices: range) -> list:
+                  u_base: float, ws: _Workspace, indices: range) -> list:
     """The records of samples ``indices``, run as one block.  Row i's
     norms are the unscaled norms times its scale, and its graph is the
     unscaled jet at its scale, as ``hawking_mass_deficit(w, base_r, raw_i,
     scale=s_i)`` builds it.  Its prediction is half of u^2 sum_l q_l E_l
     over its scaled field, with the q_l of ``form``, the report that also
-    gives C_est, as ``slice_second_variation`` evaluates it."""
+    gives C_est, as ``slice_second_variation`` evaluates it.
+
+    The block's jet, norms, graphs and deficits run in the buffers of
+    ``ws``, which the next block writes again, so the block surface never
+    leaves this function: only its deficits, as floats, do."""
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.master_seed, i]))
             for i in indices]
     raw, _, scale, grid, jet, norms = _draw_block(
-        rngs, cfg.lmax, cfg.epsilon, u_base)
+        rngs, cfg.lmax, cfg.epsilon, u_base, ws)
     deficits = _graph_surface(w, cfg.base_r, raw, scale[:, None, None], grid,
-                              jet).mass_deficit()
+                              jet, ws).mass_deficit()
     phi = HarmonicField(raw.coeffs * scale[:, None])
     q = form.q_by_degree[:phi.lmax + 1]
     predictions = 0.5 * u_base * u_base * np.sum(
@@ -337,10 +350,12 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     form = quadratic_form_report(w, cfg.base_r, cfg.lmax)
     # the slice radius that scales the norms and the predictions
     u_base = float(patch.coeff_u[0])
+    # one set of node buffers for every block, sized by the first
+    ws = _Workspace()
     records = []
     for start in range(0, cfg.n_samples, _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, cfg.n_samples)
-        records += _sample_block(cfg, w, form, u_base, range(start, stop))
+        records += _sample_block(cfg, w, form, u_base, ws, range(start, stop))
     return SweepReport(config=cfg, records=records, c_est=form.c_est)
 
 

@@ -473,6 +473,27 @@ def test_size_flags_just_above_their_bounds_are_named(argv, message, tmp_path,
     assert calls == []
 
 
+@pytest.mark.parametrize("n, message", [("100001", "--n must be <= 100000"),
+                                        ("0", "--n must be >= 1")])
+def test_sweep_sample_count_is_bounded(n, message, monkeypatch, capsys):
+    """A sweep's --n outside [1, 100000] exits 2 naming the flag, before
+    any solve; no sweep runs."""
+    import hawkmass.cli as cli_mod
+    import hawkmass.sweeps as sweeps_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "perturbation_sweep", no_sweep)
+    monkeypatch.setattr(sweeps_mod, "solve_for_config", calls.append)
+    assert main(["sweep", "perturb", "--a", "0.5", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert calls == []
+
+
 def test_exhausted_memory_is_one_line_and_exit_1(monkeypatch, capsys):
     import hawkmass.cli as cli_mod
 
