@@ -27,13 +27,14 @@ base slice as well, node arrays ``(B, n_lat, n_lon)`` with one quadrature
 sum per row; a sweep builds its samples that way, and each row equals the
 graph built on its own.
 
-Both write every node array in place, by ufuncs with ``out=``, into the
-buffers of a ``sphere._Workspace``.  A sweep passes the one workspace it
-keeps for all its blocks, so no block allocates node arrays, and its
-block surfaces never leave the sweep.  ``build_graph`` and the other
-single-graph routes run the same code on ``sphere._Fresh``, which makes
-a new array for every request, so a surface a caller holds shares no
-buffer with any other.
+The builder writes every node array in place, by ufuncs with ``out=``,
+into buffers it is handed: one kind for its temporaries, one for the
+arrays the surface holds.  A sweep hands it buffers it keeps for all its
+blocks, so no block allocates the build's node arrays, and its block
+surfaces never leave the sweep's ``_sample_block``.  ``build_graph`` and
+the other single-graph routes run the same code on ``sphere._FRESH``,
+which makes new arrays for every request, so a surface a caller holds
+shares no buffer with any other.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RangeError, SolveError
-from .sphere import (HarmonicField, SphereGrid, _Fresh, _geometry_lmax,
-                     _Workspace, get_grid)
+from .sphere import (_FRESH, HarmonicField, SphereGrid, _geometry_lmax,
+                     get_grid)
 from .warp import WarpFactor, _mass_from_integrals
 
 __all__ = [
@@ -97,9 +98,6 @@ class GraphSurface:
     # (u0, u0', u^2 W - u0^2, H - H0) against the base slice; None beyond
     # the patch reach
     _delta: tuple = field(repr=False, default=None)
-    # the sweep workspace that holds the node arrays; None for a surface
-    # with arrays of its own
-    _ws: _Workspace | None = field(repr=False, default=None)
 
     @cached_property
     def shape_sq(self) -> np.ndarray:
@@ -172,21 +170,14 @@ class GraphSurface:
             )
         u0, up0, d_area_el, d_mean = self._delta
         h0 = -2.0 * up0 / u0
-        take = (_Fresh() if self._ws is None else self._ws).take
-        t1, t2 = take("scratch", d_mean.shape, d_mean.shape)
-        # the Willmore element's difference,
-        # d_mean * (H + h0) * area_element + h0 * h0 * d_area_el
-        d_willmore_el = np.add(self.mean_curvature, h0, out=t1)
-        np.multiply(d_mean, d_willmore_el, out=d_willmore_el)
-        np.multiply(d_willmore_el, self.area_element, out=d_willmore_el)
-        np.multiply(h0 * h0, d_area_el, out=t2)
-        np.add(d_willmore_el, t2, out=d_willmore_el)
+        d_willmore_el = (d_mean * (self.mean_curvature + h0) * self.area_element
+                         + h0 * h0 * d_area_el)
 
         qw = self.grid.quad_weights
         area0 = 4.0 * np.pi * u0 * u0
         will0 = 16.0 * np.pi * up0 * up0
-        d_area = _node_sum(np.multiply(qw, d_area_el, out=t2))
-        d_will = _node_sum(np.multiply(qw, d_willmore_el, out=t1))
+        d_area = _node_sum(qw * d_area_el)
+        d_will = _node_sum(qw * d_willmore_el)
         area = area0 + d_area
         will = will0 + d_will
         s0 = np.sqrt(area0 / (16.0 * np.pi))
@@ -223,8 +214,8 @@ def _node_sum(values: np.ndarray):
 
 
 def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
-                   scale, grid: SphereGrid, jet: dict,
-                   ws: _Workspace | None = None) -> GraphSurface:
+                   scale, grid: SphereGrid, jet: dict, scratch=_FRESH,
+                   out=_FRESH) -> GraphSurface:
     """The graph r = base_r + scale * phi over the jet of phi on ``grid``:
     its pointwise geometry, each curvature the base slice's plus a
     difference formed without cancellation.  A block of fields with its
@@ -232,26 +223,24 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     row, shape (B, 1, 1); the range check and the patch gate then hold for
     every row, and each row has the bits of its own graph.
 
-    Every node array is a buffer of ``ws``, written by ufuncs with
-    ``out=``; each comment gives the expression a buffer holds, with the
-    operand order and association the calls keep.  The surface holds
-    ``ws``, so that ``mass_deficit`` takes its scratch there too.  With no
-    ``ws`` every array is new and the surface holds no workspace: nothing
-    else ever writes the arrays of a surface built that way."""
+    Every node array is written by ufuncs with ``out=``: the build's
+    temporaries into buffers of ``scratch``, the arrays the surface holds
+    into buffers of ``out``.  Each comment gives the expression a buffer
+    holds, with the operand order and association the calls keep.  By
+    default both make new arrays, so nothing else ever writes the arrays
+    of a surface built that way."""
     base_r = float(base_r)
     t = scale if np.ndim(scale) else float(scale)
-    buffers = _Fresh() if ws is None else ws
-    take = buffers.take
     shape = jet["f"].shape
     st = grid.sin_theta[:, None]
     ct = grid.x[:, None]
     st_sq = st * st
     # the build's temporaries; the surface holds none of them
     (t1, t2, rt, rl, u_sq, tilt_m1, w_sq, d_uup, inv_gap, slope, rl_up,
-     dh_tt, dh_ll) = take("scratch", *[shape] * 13)
+     dh_tt, dh_ll) = scratch.take(*[shape] * 13)
     # the arrays the surface holds
     (grad_sq, tilt, area_el, d_area_el, da_tt, da_tl, da_ll, h_tt, h_tl, h_ll,
-     d_mean, mean) = take("surface", *[shape] * 12)
+     d_mean, mean) = out.take(*[shape] * 12)
 
     s_shift = np.multiply(t, jet["f"], out=t2)
     smax = float(np.max(np.abs(s_shift, out=t1)))
@@ -265,7 +254,7 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     # covers grows with smax, so the largest row decides for the block
     inside = patch.covers(smax)
     if inside:
-        u, up, du, dup = patch.eval_delta(s_shift, smax, _ws=buffers)
+        u, up, du, dup = patch.eval_delta(s_shift, smax)
     else:
         u, up = w.evaluate(base_r + s_shift)
         du, dup = u - u0, up - up0
@@ -368,7 +357,6 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
               np.add(-u0 * up0 * st * st, da_ll, out=da_ll)),
         _grad_sq=grad_sq,
         _delta=(u0, up0, d_area_el, d_mean) if inside else None,
-        _ws=ws,
     )
 
 

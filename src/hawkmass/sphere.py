@@ -153,49 +153,44 @@ def _legendre_tables(lmax: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-class _Workspace:
-    """Named lists of float buffers, each made on its first ``take`` and
-    handed out again on every later one.
+class _Buffers:
+    """Float buffers made on the first ``take`` and handed out again on
+    every later one.
 
-    ``perturbation_sweep`` keeps one for its whole run, so every block of
-    samples computes in the same memory.  ``take(name, *shapes)`` gives
-    the i-th shape a C-contiguous array over the leading elements of the
-    name's i-th buffer, so the arrays of a sweep's partial last block are
-    the leading rows of a full block's.  The name ``scratch`` holds one
-    stage's temporaries (the jet's gathered coefficients, profiles and
-    pairs, then those of the norms, of the graph build and of the
-    deficit), and each stage is done with it before the next one takes
-    it.  Every other name holds a value that is read after the stage that
-    wrote it.
+    ``take(*shapes)`` gives the i-th shape a C-contiguous array over the
+    leading elements of the i-th buffer, grown if too small, so arrays of
+    fewer rows are the leading rows of the full ones.  A sweep keeps a few
+    for all its blocks (``sweeps._Workspace`` says which stage writes
+    which), so every block computes in the same memory.
     """
 
     def __init__(self):
-        self._buffers: dict[str, list] = {}
+        self._buffers: list = []
 
-    def take(self, name: str, *shapes: tuple):
-        """An array of each shape, the i-th over the name's i-th buffer
-        (grown if too small); the array itself for a single shape."""
-        buffers = self._buffers.setdefault(name, [])
+    def take(self, *shapes: tuple) -> list:
+        """One array per shape, the i-th over the i-th buffer."""
         arrays = []
         for i, shape in enumerate(shapes):
             size = math.prod(shape)
-            if i == len(buffers):
-                buffers.append(np.empty(size))
-            elif buffers[i].size < size:
-                buffers[i] = np.empty(size)
-            arrays.append(buffers[i][:size].reshape(shape))
-        return arrays[0] if len(arrays) == 1 else arrays
+            if i == len(self._buffers):
+                self._buffers.append(np.empty(size))
+            elif self._buffers[i].size < size:
+                self._buffers[i] = np.empty(size)
+            arrays.append(self._buffers[i][:size].reshape(shape))
+        return arrays
 
 
 class _Fresh:
-    """The workspace of a single graph or field: every ``take`` makes new
+    """The buffers of a single graph or field: every ``take`` makes new
     arrays, so nothing a single call returns shares memory with anything
     else."""
 
     @staticmethod
-    def take(name: str, *shapes: tuple):
-        arrays = [np.empty(shape) for shape in shapes]
-        return arrays[0] if len(arrays) == 1 else arrays
+    def take(*shapes: tuple) -> list:
+        return [np.empty(shape) for shape in shapes]
+
+
+_FRESH = _Fresh()
 
 
 class SphereGrid:
@@ -249,36 +244,25 @@ class SphereGrid:
 
     # -- transforms: one batched matmul over the orders m ----------------
 
-    def _profiles(self, coeffs: np.ndarray, blocks: int, ws: _Workspace,
-                  *more: tuple):
+    def _profiles(self, coeffs: np.ndarray, blocks: int) -> np.ndarray:
         """Colatitude profiles ``(..., m, branch, blocks * n_lat)`` of flat
         coefficients ``(..., n_modes)`` against the first ``blocks`` table
-        blocks, and the list of arrays of shapes ``(..., *shape)`` for each
-        shape in ``more``, all in the ``scratch`` of ``ws``."""
+        blocks."""
         coeffs = self._check_coeffs(coeffs)
-        lead = coeffs.shape[:-1]
-        ext, padded, prof, *rest = ws.take(
-            "scratch", lead + (self.n_modes + 1,), lead + self._gather.shape,
-            lead + (self.lmax + 1, 2, blocks * self.n_lat),
-            *(lead + shape for shape in more))
+        ext = np.zeros(coeffs.shape[:-1] + (self.n_modes + 1,))
         ext[..., :-1] = coeffs
-        ext[..., -1] = 0.0
-        # (..., m, branch, l); every index is in range, and "clip" lets
-        # take write straight into its buffer
-        np.take(ext, self._gather, axis=-1, mode="clip", out=padded)
-        np.matmul(padded, self._table[:, :, : blocks * self.n_lat], out=prof)
-        return prof, rest
+        padded = ext[..., self._gather]                 # (..., m, branch, l)
+        return padded @ self._table[:, :, : blocks * self.n_lat]
 
-    def _azimuth_sum(self, pairs: np.ndarray, ws: _Workspace) -> np.ndarray:
+    def _azimuth_sum(self, pairs: np.ndarray, out=None) -> np.ndarray:
         """Grid fields from profile pairs ``(..., m, branch, k, n_lat)``:
         one matmul against the stacked cosines and sines, shape
-        ``(..., k, n_lat, n_lon)``."""
+        ``(..., k, n_lat, n_lon)``, into ``out`` of shape
+        ``(..., k * n_lat, n_lon)`` when given."""
         lead, k = pairs.shape[:-4], pairs.shape[-2]
         flat = pairs.reshape(lead + (self._azimuth.shape[0], k * self.n_lat))
-        fields = np.matmul(np.swapaxes(flat, -1, -2), self._azimuth,
-                           out=ws.take("fields", lead + (k * self.n_lat,
-                                                         self.n_lon)))
-        return fields.reshape(lead + (k, self.n_lat, self.n_lon))
+        return np.matmul(np.swapaxes(flat, -1, -2), self._azimuth,
+                         out=out).reshape(lead + (k, self.n_lat, self.n_lon))
 
     def _scatter(self, proj: np.ndarray) -> np.ndarray:
         """Flat coefficients from ``(m, l, branch)`` projections."""
@@ -288,17 +272,18 @@ class SphereGrid:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the field with the given flat coefficients."""
-        ws = _Fresh()
-        prof = self._profiles(coeffs, 1, ws)[0]
-        return self._azimuth_sum(prof[..., None, :], ws)[..., 0, :, :]
+        prof = self._profiles(coeffs, 1)
+        return self._azimuth_sum(prof[..., None, :])[..., 0, :, :]
 
-    def synthesize_jet(self, coeffs: np.ndarray, *, _ws=None):
+    def synthesize_jet(self, coeffs: np.ndarray, *, _scratch=_FRESH,
+                       _out=_FRESH):
         """Values and first/second coordinate derivatives on the grid.
 
         ``coeffs`` is one flat coefficient vector or a block of them,
         shape ``(B, n_modes)``; each row of a block gives the bits of its
-        own call.  A sweep passes its workspace as ``_ws``, and the fields
-        are then views of its buffers; without one they are fresh arrays.
+        own call.  A sweep passes the buffers of its temporaries as
+        ``_scratch`` and those of the fields as ``_out``; by default both
+        are fresh arrays.
 
         Returns
         -------
@@ -306,30 +291,31 @@ class SphereGrid:
         l = longitude), each of shape ``(n_lat, n_lon)``, or
         ``(B, n_lat, n_lon)`` for a block.
         """
-        ws = _Fresh() if _ws is None else _ws
         nm, nl = self.lmax + 1, self.n_lat
-        prof, (pairs,) = self._profiles(coeffs, 3, ws, (nm, 2, 6, nl))
-        prof = prof.reshape(prof.shape[:-3] + (nm, 2, 3, nl))
+        prof = self._profiles(coeffs, 3)
+        lead = prof.shape[:-3]
+        prof = prof.reshape(lead + (nm, 2, 3, nl))
+        (pairs,) = _scratch.take(lead + (nm, 2, 6, nl))
         pairs[..., :3, :] = prof
         np.multiply(self._dlon[:, :, None, None], prof[..., ::-1, :2, :],
                     out=pairs[..., 3:5, :])
         np.multiply(-(self._dlon[:, 0, None, None] ** 2), prof[..., 0, :],
                     out=pairs[..., 5, :])
-        f, ft, ftt, fl, ftl, fll = np.moveaxis(self._azimuth_sum(pairs, ws),
-                                               -3, 0)
+        (fields,) = _out.take(lead + (6 * nl, self.n_lon))
+        f, ft, ftt, fl, ftl, fll = np.moveaxis(
+            self._azimuth_sum(pairs, fields), -3, 0)
         return {"f": f, "ft": ft, "fl": fl, "ftt": ftt, "ftl": ftl, "fll": fll}
 
     def synthesize_gradient(self, coeffs: np.ndarray):
         """The ``ft`` and ``fl`` fields of ``synthesize_jet`` alone, read
         from the value and first-derivative tables only."""
-        ws = _Fresh()
         nm, nl = self.lmax + 1, self.n_lat
-        prof, (pairs,) = self._profiles(coeffs, 2, ws, (nm, 2, 2, nl))
+        prof = self._profiles(coeffs, 2)
         prof = prof.reshape(prof.shape[:-3] + (nm, 2, 2, nl))
+        pairs = np.empty(prof.shape[:-2] + (2, nl))
         pairs[..., 0, :] = prof[..., 1, :]
-        np.multiply(self._dlon[:, :, None], prof[..., ::-1, 0, :],
-                    out=pairs[..., 1, :])
-        ft, fl = np.moveaxis(self._azimuth_sum(pairs, ws), -3, 0)
+        pairs[..., 1, :] = self._dlon[:, :, None] * prof[..., ::-1, 0, :]
+        ft, fl = np.moveaxis(self._azimuth_sum(pairs), -3, 0)
         return ft, fl
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
@@ -599,15 +585,13 @@ def sobolev_norms(field: HarmonicField, u: float = 1.0) -> SobolevNorms:
 
 
 def _sobolev_norms(field: HarmonicField, u: float, grid: SphereGrid,
-                   jet: dict, ws: _Workspace | None = None) -> SobolevNorms:
+                   jet: dict) -> SobolevNorms:
     """``sobolev_norms`` with the field's jet on ``grid`` already made.
 
     A block of fields with its block jet gives one array entry per row,
-    each equal to the row's own call; a single field gives floats.  The
-    node temporaries are the ``scratch`` of ``ws``."""
+    each equal to the row's own call; a single field gives floats."""
     if u <= 0.0:
         raise ValueError("slice radius u must be positive")
-    ws = _Fresh() if ws is None else ws
     e = field.degree_energies()
     ll = np.arange(field.lmax + 1)
     k = ll * (ll + 1.0)
@@ -616,30 +600,19 @@ def _sobolev_norms(field: HarmonicField, u: float, grid: SphereGrid,
     w22_sq = w12_sq + np.sum(k * k * e, axis=-1) / (u * u)
 
     nodes = (-2, -1)
-    f, ft, fl = jet["f"], jet["ft"], jet["fl"]
     st = grid.sin_theta[:, None]
-    t1, t2 = ws.take("scratch", f.shape, f.shape)
-    c0 = np.max(np.abs(f, out=t1), axis=nodes)
-    # |grad f|^2 = ft^2 + (fl / st)^2
-    grad_sq = np.square(ft, out=t1)
-    np.add(grad_sq, np.square(np.divide(fl, st, out=t2), out=t2), out=grad_sq)
-    c1 = np.sqrt(np.max(grad_sq, axis=nodes)) / u
+    grad_sq = jet["ft"] ** 2 + (jet["fl"] / st) ** 2
     # covariant Hessian of the round metric, orthonormal-frame components
-    # h_tt = ftt, h_tl = (ftl - cot * fl) / st and
-    # h_ll = (fll + st * ct * ft) / st^2; hess_sq = h_tt^2 + 2 h_tl^2 + h_ll^2
-    h_tl = np.multiply((grid.x / grid.sin_theta)[:, None], fl, out=t2)
-    np.divide(np.subtract(jet["ftl"], h_tl, out=h_tl), st, out=h_tl)
-    hess_sq = np.multiply(2.0, np.square(h_tl, out=h_tl), out=t2)
-    np.add(np.square(jet["ftt"], out=t1), hess_sq, out=hess_sq)
-    h_ll = np.multiply((grid.sin_theta * grid.x)[:, None], ft, out=t1)
-    np.divide(np.add(jet["fll"], h_ll, out=h_ll), st**2, out=h_ll)
-    np.add(hess_sq, np.square(h_ll, out=h_ll), out=hess_sq)
+    h_tt = jet["ftt"]
+    h_tl = (jet["ftl"] - (grid.x / grid.sin_theta)[:, None] * jet["fl"]) / st
+    h_ll = (jet["fll"] + (grid.sin_theta * grid.x)[:, None] * jet["ft"]) / st**2
+    hess_sq = h_tt**2 + 2.0 * h_tl**2 + h_ll**2
     norms = dict(
         l2=np.sqrt(l2_sq),
         w12=np.sqrt(w12_sq),
         w22=np.sqrt(w22_sq),
-        c0=c0,
-        c1=c1,
+        c0=np.max(np.abs(jet["f"]), axis=nodes),
+        c1=np.sqrt(np.max(grad_sq, axis=nodes)) / u,
         c2=np.sqrt(np.max(hess_sq, axis=nodes)) / (u * u),
     )
     if e.ndim == 1:

@@ -12,16 +12,15 @@ unscaled fields and one array pass of norms, graph geometry and deficits,
 with the block on the leading axis.  Synthesis and the norms are linear or
 positively homogeneous in the field, so each row scales the unscaled jet
 and norms by its own factor.  Each row computes the bits of a sample run
-on its own through the public calls.  A sweep keeps one workspace of node
-buffers (``sphere._Workspace``) for all its blocks, sized by the first
-(min(``_SWEEP_BLOCK``, n) rows): the jet, the norms, the graphs and the
-deficits of every block are written into it in place, a partial last
-block into the same buffers, and a block's graphs never leave
-``_sample_block``.  Allocating those arrays afresh in each block let the
-C heap trim and fault back about 1 MiB per block.  Records are fully
-deterministic functions of the config (per-sample generators seeded by
-(master_seed, index)), so reruns cannot change a byte of the payload;
-wall-clock metadata lives in a separate sidecar dict.
+on its own through the public calls.  A sweep keeps one ``_Workspace``
+of node buffers for all its blocks: the jet and the graph build of every
+block, a partial last block too, are written into the same buffers in
+place, and a block's jet and graphs never leave ``_sample_block``.
+Allocating those arrays afresh in each block let the C heap trim and
+fault back about 1 MiB per block.  Records are fully deterministic
+functions of the config (per-sample generators seeded by (master_seed,
+index)), so reruns cannot change a byte of the payload; wall-clock
+metadata lives in a separate sidecar dict.
 """
 
 from __future__ import annotations
@@ -39,11 +38,12 @@ import numpy as np
 from .errors import InvariantViolation, RangeError
 from .graph import GraphSurface, _graph_surface
 from .sphere import (
+    _FRESH,
     MAX_GRID_LMAX,
     HarmonicField,
+    _Buffers,
     _geometry_lmax,
     _sobolev_norms,
-    _Workspace,
     get_grid,
 )
 from .warp import (_MAX_RANGE, WarpFactor, _static_gap, _static_radius,
@@ -74,6 +74,32 @@ _CRITICAL_TOL = 1.0e-8
 # with it, and 16 doubles them.  16 ran 1.07x as fast as 8 (median of 16
 # in-process pairs, measured before the sweep had its workspace)
 _SWEEP_BLOCK = 8
+
+
+class _Workspace:
+    """The node buffers a sweep keeps for all its blocks, sized by the
+    first, min(``_SWEEP_BLOCK``, n) rows; a partial last block takes the
+    leading rows of each.
+
+    ``_sample_block`` alone hands them out, to its stages in this order,
+    and the reuse is safe only while the order holds:
+
+    1. ``synthesize_jet`` writes its profile pairs into ``scratch`` and
+       the block's jet into ``jet``;
+    2. ``_sobolev_norms`` and ``_graph_surface`` read the jet; the build
+       writes its temporaries into ``scratch`` and the arrays the block's
+       surface holds into ``surface``;
+    3. ``GraphSurface.mass_deficit`` reads the surface and returns floats.
+
+    Each stage is done with ``scratch`` before the next one writes it, and
+    the next block writes ``jet`` and ``surface`` again, so neither the
+    block's jet nor its surface leaves ``_sample_block``.
+    """
+
+    def __init__(self):
+        self.scratch = _Buffers()
+        self.jet = _Buffers()
+        self.surface = _Buffers()
 
 
 @dataclass
@@ -261,12 +287,12 @@ def draw_perturbation(rng: np.random.Generator, lmax: int, epsilon: float,
 
 
 def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float,
-                ws: _Workspace | None = None) -> tuple:
+                scratch=_FRESH, out=_FRESH) -> tuple:
     """``draw_perturbation`` for a block: one row per generator, each
     drawn in the contract's order.  Returns the unscaled block field, the
     arrays of targets and scales, and the geometry grid with the block's
-    jet and norms on it, all unscaled; the jet and the norms' node
-    temporaries are buffers of ``ws`` when one is given."""
+    jet and norms on it, all unscaled; the jet is written into buffers
+    of ``out``, its temporaries into buffers of ``scratch``."""
     deg_max = max(1, lmax // 2)
     ll = np.arange(1, deg_max + 1)
     damping = np.repeat(ll * ll, 2 * ll + 1)
@@ -278,8 +304,9 @@ def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float,
     raw = HarmonicField(coeffs)
     # the geometry grid is also the grid sobolev_norms picks
     grid = get_grid(_geometry_lmax(deg_max))
-    jet = grid.synthesize_jet(raw.padded(grid.lmax), _ws=ws)
-    norms = _sobolev_norms(raw, u_base, grid, jet, ws)
+    jet = grid.synthesize_jet(raw.padded(grid.lmax), _scratch=scratch,
+                              _out=out)
+    norms = _sobolev_norms(raw, u_base, grid, jet)
     return raw, target, target / norms.c2_bound, grid, jet, norms
 
 
@@ -292,15 +319,15 @@ def _sample_block(cfg: SweepConfig, w: WarpFactor, form: QuadraticFormReport,
     over its scaled field, with the q_l of ``form``, the report that also
     gives C_est, as ``slice_second_variation`` evaluates it.
 
-    The block's jet, norms, graphs and deficits run in the buffers of
-    ``ws``, which the next block writes again, so the block surface never
-    leaves this function: only its deficits, as floats, do."""
+    The block's jet and graphs are written into the buffers of ``ws``
+    in the order ``_Workspace`` gives, and the next block writes them
+    again, so neither leaves this function: only floats do."""
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.master_seed, i]))
             for i in indices]
     raw, _, scale, grid, jet, norms = _draw_block(
-        rngs, cfg.lmax, cfg.epsilon, u_base, ws)
+        rngs, cfg.lmax, cfg.epsilon, u_base, ws.scratch, ws.jet)
     deficits = _graph_surface(w, cfg.base_r, raw, scale[:, None, None], grid,
-                              jet, ws).mass_deficit()
+                              jet, ws.scratch, ws.surface).mass_deficit()
     phi = HarmonicField(raw.coeffs * scale[:, None])
     q = form.q_by_degree[:phi.lmax + 1]
     predictions = 0.5 * u_base * u_base * np.sum(
@@ -350,7 +377,6 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     form = quadratic_form_report(w, cfg.base_r, cfg.lmax)
     # the slice radius that scales the norms and the predictions
     u_base = float(patch.coeff_u[0])
-    # one set of node buffers for every block, sized by the first
     ws = _Workspace()
     records = []
     for start in range(0, cfg.n_samples, _SWEEP_BLOCK):

@@ -118,20 +118,13 @@ def _convergence_radius(U):
         return 1.0 / np.max(np.abs(U[ks]) ** (1.0 / ks))
 
 
-def _horner(coeffs, s, out=None):
+def _horner(coeffs, s):
     """Evaluate sum_k coeffs[k] s^k: one coefficient per order, and a
-    float or an array s.  Given ``out``, an array shaped like s, the sum
-    runs in it with the same operations; a float s keeps to scalar
-    arithmetic, which the stepper's many short sums need."""
-    if out is None:
-        res = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            res = res * s + c
-        return res
-    out[...] = coeffs[-1]
+    float or an array s."""
+    res = coeffs[-1]
     for c in coeffs[-2::-1]:
-        np.add(np.multiply(out, s, out=out), c, out=out)
-    return out
+        res = res * s + c
+    return res
 
 
 class TaylorPatch:
@@ -181,12 +174,10 @@ class TaylorPatch:
                 hi = mid
         return lo
 
-    def eval_delta(self, s, smax: float | None = None, *, _ws=None):
+    def eval_delta(self, s, smax: float | None = None):
         """(u, u', u - u(r0), u' - u'(r0)) at offsets s, a float or an
         array, with both differences summed without their constant terms,
-        so they keep full relative accuracy for small s.  Given a
-        workspace ``_ws`` (a ``sphere._Workspace``), an array s is summed
-        into its buffer ``patch``.
+        so they keep full relative accuracy for small s.
 
         Given a bound smax on |s|, each series runs Horner only up to its
         last order whose term at smax is above 2^-96 of the series' largest
@@ -197,15 +188,9 @@ class TaylorPatch:
         cu, cup = self.coeff_u[1:], self.coeff_up[1:]
         if smax is not None:
             cu, cup = _orders(cu, smax), _orders(cup, smax)
-        if _ws is None:
-            delta = _horner(cu, s) * s
-            dup = _horner(cup, s) * s
-            return self.coeff_u[0] + delta, self.coeff_up[0] + dup, delta, dup
-        u, up, delta, dup = _ws.take("patch", *[s.shape] * 4)
-        np.multiply(_horner(cu, s, delta), s, out=delta)
-        np.multiply(_horner(cup, s, dup), s, out=dup)
-        return (np.add(self.coeff_u[0], delta, out=u),
-                np.add(self.coeff_up[0], dup, out=up), delta, dup)
+        delta = _horner(cu, s) * s
+        dup = _horner(cup, s) * s
+        return self.coeff_u[0] + delta, self.coeff_up[0] + dup, delta, dup
 
 
 def _orders(coeffs, smax: float):

@@ -169,13 +169,13 @@ def test_draw_matches_degree_loop_bitwise(lmax, seed):
 def test_sweep_block_synthesizes_one_jet(monkeypatch):
     """Per block of samples, one stacked jet of the unscaled draws, which
     serves their C^2 rescale, their norms and their deficits, each row at
-    its own scale.  The sweep hands the jet its workspace by keyword."""
+    its own scale.  The sweep hands the jet its buffers by keyword."""
     grids = []
     jet = SphereGrid.synthesize_jet
 
-    def counted(self, coeffs, **workspace):
+    def counted(self, coeffs, **buffers):
         grids.append(self.lmax)
-        return jet(self, coeffs, **workspace)
+        return jet(self, coeffs, **buffers)
 
     monkeypatch.setattr(SphereGrid, "synthesize_jet", counted)
     block = sweeps._SWEEP_BLOCK
