@@ -18,11 +18,12 @@ the low modes.
 
 One builder, ``_graph_surface``, forms a graph's node geometry from the
 jet of phi as the base slice plus differences: u - u0 and u' - u0', from
-the base-slice patch (the global profile beyond its reach), give the
-differences of the area element, metric, second fundamental form and mean
-curvature without cancellation, and each full quantity is the round
-slice's plus its difference.  ``GraphSurface.mass_deficit`` only
-integrates the kept differences.  Both run on a block of graphs over one
+the base-slice patch where its gate ``covers`` accepts the offsets and
+from the global profile by subtraction past it, give the differences of
+the area element, metric, second fundamental form and mean curvature
+without cancellation, and each full quantity is the round slice's plus
+its difference.  ``GraphSurface.mass_deficit`` only integrates the kept
+differences, for every graph.  Both run on a block of graphs over one
 base slice as well, node arrays ``(B, n_lat, n_lon)`` with one quadrature
 sum per row; a sweep builds its samples that way, and each row equals the
 graph built on its own.
@@ -90,14 +91,13 @@ class GraphSurface:
     tilt: np.ndarray            # W = sqrt(1 + |grad rho|^2 / u^2)
     area_element: np.ndarray    # u^2 W
     mean_curvature: np.ndarray
-    _hinv: tuple = field(repr=False, default=None)
+    _hinv: tuple = field(repr=False)
     # the second fundamental form (tt, tl, ll)
-    _sff: tuple = field(repr=False, default=None)
+    _sff: tuple = field(repr=False)
     # |grad rho|^2 on the unit sphere
-    _grad_sq: np.ndarray = field(repr=False, default=None)
-    # (u0, u0', u^2 W - u0^2, H - H0) against the base slice; None beyond
-    # the patch reach
-    _delta: tuple = field(repr=False, default=None)
+    _grad_sq: np.ndarray = field(repr=False)
+    # (u0, u0', u^2 W - u0^2, H - H0) against the base slice
+    _delta: tuple = field(repr=False)
 
     @cached_property
     def shape_sq(self) -> np.ndarray:
@@ -159,15 +159,11 @@ class GraphSurface:
         band limits 16 to 48.  The damped fields a sweep draws
         (coefficients 0.3 N(0, 1) / l^2) are smaller for the same scale:
         at scale 1e-6 their spread reaches 1.9e-10 to 3.1e-10 at base_r
-        0.4 and 6.7e-10 to 1.1e-9 at base_r 1.5 (median to max).  Raises
-        ``RangeError`` unless the perturbation stays inside the base
-        point's expansion radius.
+        0.4 and 6.7e-10 to 1.1e-9 at base_r 1.5 (median to max).  Past the
+        patch gate, u - u0 and u' - u0' come from the global profile by
+        subtraction, about eps * u absolute, small against the O(1e-1)
+        deficit of a graph that large.
         """
-        if self._delta is None:
-            raise RangeError(
-                "perturbation too large for the base-slice expansion; "
-                "deficit evaluation needs max|phi| within the local radius"
-            )
         u0, up0, d_area_el, d_mean = self._delta
         h0 = -2.0 * up0 / u0
         d_willmore_el = (d_mean * (self.mean_curvature + h0) * self.area_element
@@ -220,8 +216,9 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     its pointwise geometry, each curvature the base slice's plus a
     difference formed without cancellation.  A block of fields with its
     block jet gives a block of graphs, with a float scale or one scale per
-    row, shape (B, 1, 1); the range check and the patch gate then hold for
-    every row, and each row has the bits of its own graph.
+    row, shape (B, 1, 1); the range check then holds for every row, a row
+    reads the patch exactly where the gate accepts its own offsets, and
+    each row has the bits of its own graph.
 
     Every node array is written by ufuncs with ``out=``: the build's
     temporaries into buffers of ``scratch``, the arrays the surface holds
@@ -252,12 +249,19 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     patch = w.taylor_patch(base_r)
     u0, up0 = patch.coeff_u[0], patch.coeff_up[0]
     # covers grows with smax, so the largest row decides for the block
-    inside = patch.covers(smax)
-    if inside:
+    if patch.covers(smax):
         u, up, du, dup = patch.eval_delta(s_shift, smax)
     else:
         u, up = w.evaluate(base_r + s_shift)
         du, dup = u - u0, up - up0
+        if s_shift.ndim == 3:
+            # the rows the gate accepts keep the patch values they get
+            # built on their own
+            row_max = np.max(t1, axis=(1, 2))
+            rows = np.flatnonzero([patch.covers(m) for m in row_max])
+            if rows.size:
+                u[rows], up[rows], du[rows], dup[rows] = patch.eval_delta(
+                    s_shift[rows], float(np.max(row_max[rows])))
 
     # first derivatives of rho on the unit sphere
     np.multiply(t, jet["ft"], out=rt)
@@ -356,7 +360,7 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
         _sff=(np.add(-u0 * up0, da_tt, out=da_tt), da_tl,
               np.add(-u0 * up0 * st * st, da_ll, out=da_ll)),
         _grad_sq=grad_sq,
-        _delta=(u0, up0, d_area_el, d_mean) if inside else None,
+        _delta=(u0, up0, d_area_el, d_mean),
     )
 
 

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, RangeError
+from .errors import InvariantViolation
 from .graph import GraphSurface, _graph_surface
 from .sphere import (
     _FRESH,
@@ -152,6 +152,14 @@ class SweepConfig:
                 f"epsilon {self.epsilon:g} must exceed tolerances slice_norm "
                 f"{self.tolerances['slice_norm']:g}, below which a draw "
                 f"counts as a slice")
+        # a draw's max|phi| is at most its C^2 estimate on the same grid,
+        # so at most epsilon: this keeps every graph in the solved range.
+        # solve_for_config names a radius past _MAX_RADIUS itself
+        r = abs(self.base_r)
+        if r <= _MAX_RADIUS and r + self.epsilon > _MAX_RANGE:
+            raise ValueError(
+                f"epsilon {self.epsilon:g} takes the graphs past the solved "
+                f"range: |base_r| + epsilon must be <= {_MAX_RANGE:g}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -361,22 +369,16 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
 
     The records are a pure function of cfg: a sample's record has the
     same bits in any block.  ``workers`` must be >= 1 and changes nothing.
-    Every sample's max|phi| is at most its C^2 estimate, hence at most
-    epsilon, so an epsilon beyond the reach of the base-slice expansion
-    raises ``RangeError`` before any sample runs.
+    A graph past the base-slice patch reach has its deficit from the
+    global profile, as ``hawking_mass_deficit`` gives it.
     """
     cfg.validate()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     w = solve_for_config(cfg.a, cfg.base_r)
-    patch = w.taylor_patch(cfg.base_r)
-    if not patch.covers(cfg.epsilon):
-        raise RangeError(
-            f"epsilon {cfg.epsilon:g} exceeds the reach {patch.reach():.3g} "
-            f"of the base-slice expansion at base_r {cfg.base_r:g}")
     form = quadratic_form_report(w, cfg.base_r, cfg.lmax)
     # the slice radius that scales the norms and the predictions
-    u_base = float(patch.coeff_u[0])
+    u_base = float(w.taylor_patch(cfg.base_r).coeff_u[0])
     ws = _Workspace()
     records = []
     for start in range(0, cfg.n_samples, _SWEEP_BLOCK):

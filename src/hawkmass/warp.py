@@ -159,21 +159,6 @@ class TaylorPatch:
         bound below _PATCH_TOL."""
         return smax <= self.trust and self.tail_bound(smax) < _PATCH_TOL
 
-    def reach(self) -> float:
-        """The largest smax that ``covers`` accepts, to about 1e-12: a
-        bisection of [0, trust] on the gate, which is monotone in smax,
-        keeping the accepted end, so ``covers(reach())`` always holds."""
-        lo, hi = 0.0, self.trust
-        if self.covers(hi):
-            return hi
-        while hi - lo > 1.0e-12:
-            mid = 0.5 * (lo + hi)
-            if self.covers(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
     def eval_delta(self, s, smax: float | None = None):
         """(u, u', u - u(r0), u' - u'(r0)) at offsets s, a float or an
         array, with both differences summed without their constant terms,

@@ -383,12 +383,20 @@ def test_sweep_rejects_solver_flags(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_sweep_rejects_eps_beyond_patch_reach():
+def test_sweep_rejects_eps_beyond_range():
+    """An --eps that could take a graph past the solved range exits 2
+    naming epsilon, where the sweep would otherwise stop partway through;
+    an --eps past the base-slice patch reach runs."""
     code, out, err = run_cli("sweep", "perturb", "--a", "0.5", "--r", "0",
-                             "--eps", "0.5", "--n", "3")
+                             "--eps", "1e5", "--n", "16")
     assert code == 2
     assert out == ""
-    assert "epsilon 0.5 exceeds the reach 0.317" in err
+    assert err == ("hawkmass: error: epsilon 100000 takes the graphs past "
+                   "the solved range: |base_r| + epsilon must be <= 1000\n")
+    code, out, err = run_cli("sweep", "perturb", "--a", "0.5", "--eps", "0.5",
+                             "--n", "13", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["aggregate"]["n_graph"] == 13
 
 
 def test_sweep_rejects_eps_within_slice_norm(capsys):

@@ -310,9 +310,12 @@ def test_sweep_rejects_bad_worker_count():
         perturbation_sweep(small_config(n_samples=1), workers=0)
 
 
-def test_sweep_rejects_eps_beyond_patch_reach(monkeypatch):
-    """An epsilon the base-slice expansion cannot reach fails up front,
-    before any sample runs."""
+def test_sweep_rejects_eps_beyond_range(monkeypatch):
+    """An epsilon that could take a graph past the solved range, |base_r|
+    + epsilon > 1e3, fails validation by name before the solve and before
+    any sample runs; a draw's max|phi| is at most its C^2 estimate, which
+    is at most epsilon, so any smaller epsilon keeps every graph in
+    range.  A radius past 988 is named as the radius."""
     ran = []
     real = sweeps._sample_block
 
@@ -321,11 +324,42 @@ def test_sweep_rejects_eps_beyond_patch_reach(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sweeps, "_sample_block", counting)
-    with pytest.raises(RangeError, match=r"epsilon 0\.5 exceeds the reach"):
-        perturbation_sweep(small_config(epsilon=0.5, n_samples=3))
+    for base_r, eps in ((0.0, 1e5), (-0.4, 999.7)):
+        with pytest.raises(ValueError,
+                           match=r"^epsilon .* takes the graphs past the "
+                                 r"solved range: \|base_r\| \+ epsilon "
+                                 r"must be <= 1000$"):
+            perturbation_sweep(small_config(base_r=base_r, epsilon=eps,
+                                            n_samples=3))
+    with pytest.raises(ValueError, match=r"^r must be finite and \|r\| <= "
+                                         r"988, got 995$"):
+        perturbation_sweep(small_config(base_r=995.0, epsilon=10.0))
     assert ran == []
-    assert len(perturbation_sweep(small_config(epsilon=0.3,
+    assert len(perturbation_sweep(small_config(epsilon=0.5,
                                                n_samples=2)).records) == 2
+    assert ran == [0, 1]
+
+
+def test_sweep_rows_past_patch_reach_keep_their_own_deficits():
+    """At epsilon 20 the blocks mix rows the base-slice patch covers with
+    rows past its reach.  Every record's deficit is the bits of
+    ``hawking_mass_deficit`` on its own draw, and a partial last block
+    gives the rows a full block gives."""
+    cfg = small_config(epsilon=20.0, n_samples=16, master_seed=7)
+    report = perturbation_sweep(cfg)
+    w = sweeps.solve_for_config(0.5, 0.0)
+    patch = w.taylor_patch(0.0)
+    covered = []
+    for r in report.records:
+        rng = np.random.default_rng(np.random.SeedSequence([7, r.index]))
+        raw, _, scale = draw_perturbation(rng, cfg.lmax, cfg.epsilon, 0.5)
+        covered.append(patch.covers(scale * sobolev_norms(raw, 0.5).c0))
+        assert r.deficit == hawking_mass_deficit(w, 0.0, raw, scale)
+    for block in (covered[:8], covered[8:]):
+        assert any(block) and not all(block)
+    head = perturbation_sweep(small_config(epsilon=20.0, n_samples=13,
+                                           master_seed=7))
+    assert head.records == report.records[:13]
 
 
 def test_sweep_record_seed_is_master_seed():

@@ -384,3 +384,26 @@ def test_slice_hawking_mass_is_the_conserved_mass_over_the_family(a,
     w, radii = family_slices(a, fractions)
     masses = slice_geometry(w, np.array(radii)).hawking_mass
     assert np.all(np.abs(masses - w.mass) <= 5e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(A_MIN, A_MAX))
+@example(a=A_MIN)
+@example(a=A_MAX)
+def test_minimal_slice_rigidity_over_the_family(a):
+    """The minimal slice saturates the area bound with the full rigidity
+    data for every a: margin 0, lambda_0 = (1 - a^2) / a^2, |A|^2 = 0,
+    K = 4 pi / |S| and Ric(nu, nu) = -lambda_0.  lambda_0 and Ric(nu, nu)
+    are differences of O(1 / a^2) terms, so their error is absolute at
+    that size, not relative to lambda_0, which is 2e-6 at A_MAX.  Worst
+    measured on 406 values of a: margin 3.8e-16 of the area, lambda_0
+    and Ric(nu, nu) 3.4e-16 / a^2, K 3.3e-16 relative, |A|^2 exactly 0.
+    The bounds are about 10x those."""
+    rep = minimal_slice_rigidity(solve_warp_factor(a, 13.0))
+    lam = (1.0 - a * a) / (a * a)
+    assert abs(rep.margin) <= 4e-15 * rep.area
+    assert abs(rep.first_eigenvalue - lam) <= 4e-15 / (a * a)
+    assert rep.shape_operator_sq == 0.0
+    assert rep.gauss_curvature == pytest.approx(4.0 * np.pi / rep.area,
+                                                rel=4e-15, abs=0.0)
+    assert abs(rep.ricci_normal + lam) <= 4e-15 / (a * a)

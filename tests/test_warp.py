@@ -261,6 +261,18 @@ def test_taylor_patch_tracks_solution(w05):
     assert_allclose(up_p, up_ref, rtol=0, atol=1e-11)
 
 
+def _reach(patch):
+    """The largest offset the patch gate accepts, to 1e-12: the trust
+    radius where the gate accepts all of it, else scipy's brentq on the
+    zero of the tail bound less _PATCH_TOL."""
+    from scipy.optimize import brentq
+
+    if patch.covers(patch.trust):
+        return patch.trust
+    return brentq(lambda x: patch.tail_bound(x) - _PATCH_TOL, 0.0,
+                  patch.trust, xtol=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(base_r=st.floats(-2.0, 2.0), frac=st.floats(0.0, 1.0),
        offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=32))
@@ -273,7 +285,7 @@ def test_eval_delta_order_cut_keeps_the_full_sums(w05, base_r, frac,
     full 28-order sums at every |s| <= smax, also at base_r = 0, where
     every odd coefficient of u and every even one of u' is 0."""
     patch = w05.taylor_patch(base_r)
-    smax = frac * patch.reach()
+    smax = frac * _reach(patch)
     s = np.concatenate([np.array(offsets) * smax,
                         np.linspace(-smax, smax, 65)])
     full_du = warp._horner(patch.coeff_u[1:], s) * s
@@ -313,7 +325,7 @@ def test_tail_bound_reads_past_a_small_last_coefficient():
     assert err > 1e-13
     assert patch.tail_bound(0.45) >= err
     assert not patch.covers(0.45)
-    assert patch.reach() < 0.45
+    assert _reach(patch) < 0.45
 
 
 @settings(max_examples=25, deadline=None)
@@ -331,7 +343,7 @@ def test_patch_gate_bounds_error(a, r0_16, smax):
         err_u, err_up = _patch_error(w, patch, smax)
         assert err_u < 1e-13
         assert err_up < 1e-13
-        assert smax <= patch.reach()
+        assert smax <= _reach(patch) + 1e-12
 
 
 def test_json_round_trip(w05):
@@ -690,36 +702,23 @@ def test_taylor_patch_memo_keeps_the_last_patch(w05):
     assert w05.taylor_patch(0.4) is not patch     # one entry only
 
 
-@settings(max_examples=40, deadline=None)
-@given(a=st.floats(0.2, 0.9), r0_16=st.integers(0, 192))
-@example(a=0.5, r0_16=0)
-@example(a=0.5148828075211509, r0_16=191)
-def test_reach_is_the_largest_accepted_offset(a, r0_16):
-    """The gate accepts the reach and refuses every offset 1e-12 past it,
-    unless the reach is the whole trust radius."""
-    patch = solve_warp_factor(a, 13.0).taylor_patch(r0_16 / 16.0)
-    reach = patch.reach()
-    assert 0.0 < reach <= patch.trust
-    assert patch.covers(reach)
-    assert reach == patch.trust or not patch.covers(reach + 1e-12)
-
-
 @pytest.mark.parametrize("a", np.linspace(0.2, 0.9, 8))
 def test_reach_and_flip_agree_with_scipy(a):
-    """The patch reach and the margin flip radius agree with scipy's
-    brentq on the zero of the tail bound and on the margin's first sign
-    change on a grid, to 1e-12; where the grid shows no sign change, the
-    scan reports no flip."""
+    """The patch gate's reach and the margin flip radius agree with
+    scipy's brentq on the zero of the tail bound and on the margin's first
+    sign change on a grid, to 1e-12: the gate accepts every offset 2e-12
+    short of the reach and refuses every offset 2e-12 past it, unless the
+    reach is the whole trust radius.  Where the grid shows no sign change,
+    the scan reports no flip."""
     from scipy.optimize import brentq
 
     w = solve_warp_factor(float(a), 13.0)
     for r0 in (0.0, 11.9375):
         patch = w.taylor_patch(r0)
-        ref = patch.trust
-        if not patch.covers(ref):
-            ref = brentq(lambda x: patch.tail_bound(x) - _PATCH_TOL, 0.0, ref,
-                         xtol=1e-12)
-        assert abs(patch.reach() - ref) <= 1e-12
+        reach = _reach(patch)
+        assert 0.0 < reach <= patch.trust
+        assert patch.covers(reach - 2e-12)
+        assert reach == patch.trust or not patch.covers(reach + 2e-12)
     grid = np.linspace(0.0, w.period, 256, endpoint=False)
     margins = weak_stability_margin(w, grid)
     flip = foliation_scan(w, grid).margin_flip_radius
