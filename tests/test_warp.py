@@ -600,18 +600,18 @@ def test_every_range_serves_the_largest_solve(a, r_max):
         assert got.tobytes() == want.tobytes()
 
 
-def _coeff_loop_reference(u0, up0, order):
-    """The recurrence summed term by term, one column at a time.
+def _coeff_loop_reference(U):
+    """Each order of the recurrence summed term by term from the lower
+    orders of ``U``: order k + 2 from U[0], ..., U[k + 1].
 
     Returns the coefficients and, per order, the sum of the moduli of the
     summands behind it (divided like the coefficient): the scale of its
-    rounding error even where the sum cancels.
+    rounding error even where the sum cancels.  Orders 0 and 1 are the
+    initial data, copied.
     """
-    U = np.zeros(order + 1)
-    scale = np.zeros(order + 1)
-    U[0], U[1] = u0, up0
-    scale[0], scale[1] = abs(u0), abs(up0)
-    for k in range(order - 1):
+    ref = np.array(U, dtype=float)
+    scale = np.abs(ref)
+    for k in range(ref.size - 2):
         summands = [2.0 * U[k - j] * (j + 1) * (j + 2) * U[j + 2] for j in range(k)]
         for j in range(k + 1):
             summands += [(j + 1) * U[j + 1] * (k - j + 1) * U[k - j + 1],
@@ -621,23 +621,34 @@ def _coeff_loop_reference(u0, up0, order):
             acc += t
         const = 1.0 if k == 0 else 0.0
         denom = 2.0 * U[0] * (k + 1) * (k + 2)
-        U[k + 2] = (const - acc) / denom
+        ref[k + 2] = (const - acc) / denom
         scale[k + 2] = (const + sum(abs(t) for t in summands)) / abs(denom)
-    return U, scale
+    return ref, scale
 
 
 @settings(max_examples=25, deadline=None)
 @given(u0=st.floats(A_MIN, 2.0), up0=st.floats(-1.5, 1.5))
 @example(u0=0.5644064358830799, up0=1.0)
+@example(u0=1.5, up0=0.5)
 def test_taylor_column_matches_loop_reference(u0, up0):
-    """The column's Cauchy products only reorder the sums: roundoff
-    accumulates over 28 orders, far inside 1e-10 of each order's summand
-    scale.  At up0 = +-1 the order-3 coefficient cancels to zero, where a
-    relative tolerance on the coefficient itself would compare roundoff
-    (the example)."""
-    column = np.array(_taylor_column(u0, up0, 28))
-    ref, scale = _coeff_loop_reference(u0, up0, 28)
-    assert np.all(np.abs(column - ref) <= 1e-10 * scale)
+    """The column's Cauchy products only reorder the sums: every order
+    the column builds is the loop sum of the same lower orders, to far
+    inside 1e-10 of that order's summand scale.  At up0 = +-1 the order-3
+    coefficient cancels to zero, where a relative tolerance on the
+    coefficient itself would compare roundoff (the first example).
+
+    Each order is checked against the column's own lower orders, not
+    against a second column built from scratch: the first integral
+    u u'^2 = u - u^3/3 + C makes C = 0 (the second example) the entire
+    solution u = sqrt(3) sin(s / sqrt(3) + phi), whose neighbours with
+    C != 0 reach u = 0 at finite s.  There the roundoff of the low orders,
+    whichever order the sums run in, grows relative to the fast-decaying
+    coefficients until two columns built from scratch differ by the
+    size of their top coefficients, both as far from the exact ones."""
+    column = _taylor_column(u0, up0, 28)
+    ref, scale = _coeff_loop_reference(column)
+    assert column[:2] == [u0, up0]
+    assert np.all(np.abs(np.array(column) - ref) <= 1e-10 * scale)
 
 
 @pytest.mark.parametrize("a", [1.0e-3, 0.2, 0.5149, 0.9, A_MAX])
