@@ -46,7 +46,7 @@ from .variation import (
     second_variation_minimal,
     slice_second_variation,
 )
-from .warp import WarpFactor, slice_geometry
+from .warp import A_MAX, A_MIN, WarpFactor, slice_geometry
 
 _DEF_FD_STEP = 1.0e-3
 # the most slices a scan, degrees a spectrum and samples a sweep take: a
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a", type=float, required=True,
-                        help="minimum warp radius, in (0, 1)")
+                        help=f"minimum warp radius, in [{A_MIN}, {A_MAX}]")
     common.add_argument("--out", type=str, default=None,
                         help="artifact path (atomic write + meta sidecar)")
 

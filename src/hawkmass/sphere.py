@@ -154,29 +154,31 @@ def _legendre_tables(lmax: int, x: np.ndarray) -> np.ndarray:
 
 
 class _Buffers:
-    """Float buffers made on the first ``take`` and handed out again on
+    """A float slab made on the first ``take`` and handed out again on
     every later one.
 
-    ``take(*shapes)`` gives the i-th shape a C-contiguous array over the
-    leading elements of the i-th buffer, grown if too small, so arrays of
-    fewer rows are the leading rows of the full ones.  A sweep keeps a few
-    for all its blocks (``sweeps._Workspace`` says which stage writes
-    which), so every block computes in the same memory.
+    ``take(*shapes)`` lays one C-contiguous array per shape end to end
+    over the leading elements of the slab, grown if too small, so the
+    arrays of one take share no memory and the slab holds the pool's
+    largest take, not the sum of its largest arrays.  Every take starts
+    at the slab's first element: it overwrites what any earlier take
+    handed out.  Each thread keeps a few for every block of its sweeps
+    (``sweeps._Workspace`` says which stage writes which), so every block
+    computes in the same memory.
     """
 
     def __init__(self):
-        self._buffers: list = []
+        self._slab = np.empty(0)
 
     def take(self, *shapes: tuple) -> list:
-        """One array per shape, the i-th over the i-th buffer."""
-        arrays = []
-        for i, shape in enumerate(shapes):
-            size = math.prod(shape)
-            if i == len(self._buffers):
-                self._buffers.append(np.empty(size))
-            elif self._buffers[i].size < size:
-                self._buffers[i] = np.empty(size)
-            arrays.append(self._buffers[i][:size].reshape(shape))
+        """One array per shape, laid end to end over the slab."""
+        sizes = [math.prod(shape) for shape in shapes]
+        if self._slab.size < sum(sizes):
+            self._slab = np.empty(sum(sizes))
+        arrays, start = [], 0
+        for shape, size in zip(shapes, sizes):
+            arrays.append(self._slab[start:start + size].reshape(shape))
+            start += size
         return arrays
 
 

@@ -12,15 +12,17 @@ unscaled fields and one array pass of norms, graph geometry and deficits,
 with the block on the leading axis.  Synthesis and the norms are linear or
 positively homogeneous in the field, so each row scales the unscaled jet
 and norms by its own factor.  Each row computes the bits of a sample run
-on its own through the public calls.  A sweep keeps one ``_Workspace``
-of node buffers for all its blocks: the jet and the graph build of every
-block, a partial last block too, are written into the same buffers in
-place, and a block's jet and graphs never leave ``_sample_block``.
-Allocating those arrays afresh in each block let the C heap trim and
-fault back about 1 MiB per block.  Records are fully deterministic
-functions of the config (per-sample generators seeded by (master_seed,
-index)), so reruns cannot change a byte of the payload; wall-clock
-metadata lives in a separate sidecar dict.
+on its own through the public calls.  Each thread keeps one
+``_Workspace`` of node buffers for all the blocks of all its sweeps: the
+jet and the graph build of every block, a partial last block too, are
+written into the same buffers in place, and a block's jet and graphs
+never leave ``_sample_block``.  Allocating those arrays afresh in each
+block let the C heap trim and fault back about 1 MiB per block, and
+afresh in each sweep faulted the whole workspace back in every time.
+Records are fully deterministic functions of the config (per-sample
+generators seeded by (master_seed, index)), so reruns cannot change a
+byte of the payload; wall-clock metadata lives in a separate sidecar
+dict.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import math
 import platform
 import sys
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -70,19 +73,28 @@ __all__ = [
 # the classifier's bound on residual, mean curvature and deviation
 _CRITICAL_TOL = 1.0e-8
 
-# samples per block, one stacked jet each: the sweep's node buffers grow
-# with it, and 16 doubles them.  16 ran 1.07x as fast as 8 (median of 16
-# in-process pairs, measured before the sweep had its workspace)
-_SWEEP_BLOCK = 8
+# samples per block, one stacked jet each: the workspace grows with it.
+# With the workspace kept per thread, 16 ran the benchmark's sweeps 1.26x
+# as fast as 8 for 1.2 MB (2.8%) more peak RSS.  20 ran faster still, but
+# for 3.8% more peak RSS, and it divides the benchmark's n = 100 exactly,
+# so the benchmark would never run a partial last block
+_SWEEP_BLOCK = 16
 
 
-class _Workspace:
-    """The node buffers a sweep keeps for all its blocks, sized by the
-    first, min(``_SWEEP_BLOCK``, n) rows; a partial last block takes the
-    leading rows of each.
+class _Workspace(threading.local):
+    """The node buffers a thread keeps for every block of its sweeps.
 
-    ``_sample_block`` alone hands them out, to its stages in this order,
-    and the reuse is safe only while the order holds:
+    ``_WORKSPACE`` is the one instance; each thread that reads it gets
+    its own pools, made on its first sweep and kept for the next, so a
+    warm sweep allocates and faults in no node memory.  Each pool is one
+    slab that holds its largest take (``sphere._Buffers``), so the kept
+    workspace is never larger than the largest block, at the largest band
+    limit, that its thread has run; ``sphere._GRID_CACHE`` keeps every
+    grid in the same way.  Threads share nothing here, and one thread
+    runs one sweep at a time.
+
+    ``_sample_block`` alone hands the pools out, to its stages in this
+    order, and the reuse is safe only while the order holds:
 
     1. ``synthesize_jet`` writes its profile pairs into ``scratch`` and
        the block's jet into ``jet``;
@@ -100,6 +112,9 @@ class _Workspace:
         self.scratch = _Buffers()
         self.jet = _Buffers()
         self.surface = _Buffers()
+
+
+_WORKSPACE = _Workspace()
 
 
 @dataclass
@@ -367,8 +382,10 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     """Run the sweep in blocks of ``_SWEEP_BLOCK`` samples and return
     records in index order.
 
-    The records are a pure function of cfg: a sample's record has the
-    same bits in any block.  ``workers`` must be >= 1 and changes nothing.
+    Every block computes in the calling thread's ``_Workspace``, which
+    the thread keeps for its next sweep.  The records are a pure function
+    of cfg: a sample's record has the same bits in any block and in any
+    workspace.  ``workers`` must be >= 1 and changes nothing.
     A graph past the base-slice patch reach has its deficit from the
     global profile, as ``hawking_mass_deficit`` gives it.
     """
@@ -379,11 +396,11 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     form = quadratic_form_report(w, cfg.base_r, cfg.lmax)
     # the slice radius that scales the norms and the predictions
     u_base = float(w.taylor_patch(cfg.base_r).coeff_u[0])
-    ws = _Workspace()
     records = []
     for start in range(0, cfg.n_samples, _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, cfg.n_samples)
-        records += _sample_block(cfg, w, form, u_base, ws, range(start, stop))
+        records += _sample_block(cfg, w, form, u_base, _WORKSPACE,
+                                 range(start, stop))
     return SweepReport(config=cfg, records=records, c_est=form.c_est)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from hawkmass import HarmonicField, WarpFactor, solve_warp_factor
 from hawkmass.cli import main
+from hawkmass.warp import A_MAX, A_MIN
 
 
 def run_cli(*args):
@@ -41,6 +42,16 @@ def test_metric_solve_rejects_bad_radius():
     assert code == 2
     assert err.strip().count("\n") == 0   # single diagnostic line
     assert "error" in err
+
+
+def test_a_help_names_the_admitted_range(capsys):
+    """The --a help names the closed range WarpFactor admits, and a value
+    below it exits 2."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["metric", "solve", "--help"])
+    assert exit_.value.code == 0
+    assert f"in [{A_MIN}, {A_MAX}]" in capsys.readouterr().out
+    assert main(["metric", "solve", "--a", str(A_MIN / 2)]) == 2
 
 
 def test_metric_artifact_round_trip(tmp_path):

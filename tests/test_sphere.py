@@ -18,7 +18,7 @@ from hawkmass import (
     sobolev_norms,
     synthesize,
 )
-from hawkmass.sphere import MAX_GRID_LMAX, SphereGrid
+from hawkmass.sphere import MAX_GRID_LMAX, SphereGrid, _Buffers
 
 AMP_10 = np.sqrt(3.0 / (4.0 * np.pi))   # degree-1 zonal amplitude
 
@@ -162,6 +162,30 @@ def test_block_synthesis_rows_match_single_calls(lmax, block, seed):
         one_t, one_l = grid.synthesize_gradient(c)
         assert np.array_equal(ft[row], one_t)
         assert np.array_equal(fl[row], one_l)
+
+
+def test_buffers_lay_one_take_end_to_end():
+    """The arrays of one take share no memory.  A smaller later take
+    reuses the same slab from its first element, and a larger one grows
+    it to exactly that take's size."""
+    pool = _Buffers()
+    first = pool.take((3, 4), (5,), (2, 2, 2))
+    assert [a.shape for a in first] == [(3, 4), (5,), (2, 2, 2)]
+    assert all(a.flags.c_contiguous for a in first)
+    assert not any(np.shares_memory(x, y)
+                   for i, x in enumerate(first) for y in first[i + 1:])
+    slab = pool._slab
+    assert slab.size == 25
+
+    smaller = pool.take((4,), (6,))
+    assert pool._slab is slab
+    assert np.shares_memory(smaller[0], first[0])
+    assert not np.shares_memory(smaller[0], smaller[1])
+
+    larger = pool.take((20,), (10,))
+    assert pool._slab is not slab and pool._slab.size == 30
+    assert not np.shares_memory(larger[0], larger[1])
+    assert not any(np.shares_memory(x, slab) for x in larger)
 
 
 def test_synthesis_rejects_bad_coefficient_shapes():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -237,11 +238,12 @@ def surface_bytes(surface):
 
 
 def test_sweeps_and_surfaces_share_no_buffers():
-    """Each sweep computes in its own workspace: sweep A, then a sweep B
-    with another n, base radius and seed, whose last block is partial,
-    then A again give A's payload byte for byte.  A surface from
-    build_graph keeps its node arrays bit for bit across a later sweep,
-    and two surfaces share no memory."""
+    """The sweeps of one thread compute in the workspace it keeps, and
+    each overwrites all that it reads: sweep A, then a sweep B with
+    another n, base radius and seed, whose last block is partial, then A
+    again give A's payload byte for byte.  A surface from build_graph
+    holds none of that workspace: it keeps its node arrays bit for bit
+    across a later sweep, and two surfaces share no memory."""
     block = sweeps._SWEEP_BLOCK
     cfg_a = small_config(base_r=0.4, n_samples=2 * block)
     cfg_b = small_config(base_r=1.5, n_samples=block + 3, master_seed=9)
@@ -263,9 +265,9 @@ def test_sweeps_and_surfaces_share_no_buffers():
 
 
 def test_concurrent_sweeps_keep_their_payloads():
-    """perturbation_sweep holds no buffer across calls, so two sweeps run
-    at once in two threads give the payloads they give one after the
-    other."""
+    """Each thread keeps its own workspace, so two sweeps run at once in
+    two threads give the payloads they give one after the other in one
+    thread."""
     from concurrent.futures import ThreadPoolExecutor
 
     configs = [small_config(base_r=0.4, n_samples=2 * sweeps._SWEEP_BLOCK),
@@ -279,14 +281,50 @@ def test_concurrent_sweeps_keep_their_payloads():
     assert together == alone * 2
 
 
+def run_fresh(script: str, *args: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter that
+    imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(sweeps.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_kept_workspace_serves_any_band_limit():
+    """One new thread runs sweeps at lmax 8, 32 and 8 again, so its
+    workspace grows past the first sweep's takes and then serves the
+    smaller ones from the larger slabs.  Each payload equals the one a
+    fresh interpreter gives for that config alone."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    configs = [small_config(lmax=8, n_samples=3),
+               small_config(lmax=32, n_samples=40, master_seed=5),
+               small_config(lmax=8, n_samples=3)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        kept = pool.submit(lambda: [perturbation_sweep(cfg).records_payload()
+                                    for cfg in configs]).result(timeout=300)
+    script = (
+        "import json, sys\n"
+        "from hawkmass import SweepConfig, perturbation_sweep\n"
+        "cfg = SweepConfig(**json.loads(sys.argv[1]))\n"
+        "sys.stdout.write(perturbation_sweep(cfg).records_payload())\n")
+    fresh = [run_fresh(script, json.dumps(asdict(cfg))) for cfg in configs[:2]]
+    assert kept == [fresh[0], fresh[1], fresh[0]]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts the minor page faults of a Linux process")
 def test_warm_sweep_takes_few_page_faults():
-    """One workspace per sweep: a warmed 100-sample sweep takes fewer than
-    1000 minor page faults.  Node arrays made afresh in each block of 8
-    samples took about 3600, as the heap's top was trimmed after every
-    block and faulted back in by the next.  Counted in a fresh
-    interpreter, so no other test's memory enters."""
+    """A workspace kept per thread: a warm 100-sample sweep, run after
+    one that built the thread's workspace, takes fewer than 100 minor
+    page faults (0 or 1 when measured).  A workspace built afresh in
+    each sweep took about 370, all of it faulted back in, and node arrays
+    made afresh in each block took about 3600, as the heap's top was
+    trimmed after every block and faulted back in by the next.  Counted
+    in a fresh interpreter, so no other test's memory enters."""
     script = (
         "import resource\n"
         "from hawkmass import SweepConfig, perturbation_sweep\n"
@@ -296,13 +334,7 @@ def test_warm_sweep_takes_few_page_faults():
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "perturbation_sweep(cfg)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
-    src = os.path.dirname(os.path.dirname(sweeps.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1000
+    assert int(run_fresh(script)) < 100
 
 
 def test_sweep_rejects_bad_worker_count():
