@@ -29,13 +29,12 @@ sum per row; a sweep builds its samples that way, and each row equals the
 graph built on its own.
 
 The builder writes every node array in place, by ufuncs with ``out=``,
-into buffers it is handed: one kind for its temporaries, one for the
-arrays the surface holds.  A sweep hands it buffers it keeps for all its
-blocks, so no block allocates the build's node arrays, and its block
-surfaces never leave the sweep's ``_sample_block``.  ``build_graph`` and
-the other single-graph routes run the same code on ``sphere._FRESH``,
-which makes new arrays for every request, so a surface a caller holds
-shares no buffer with any other.
+into arrays it takes from the ``sphere._Buffers`` it is handed.  A sweep
+hands it the buffers its thread keeps and resets once per block, so no
+block allocates the build's node arrays, and its block surfaces never
+leave the sweep's ``_sample_block``.  ``build_graph`` and the other
+single-graph routes hand it none, and it takes from a new ``_Buffers``,
+so a surface a caller holds shares no memory with any other.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RangeError, SolveError
-from .sphere import (_FRESH, HarmonicField, SphereGrid, _geometry_lmax,
+from .sphere import (HarmonicField, SphereGrid, _Buffers, _geometry_lmax,
                      get_grid)
 from .warp import WarpFactor, _mass_from_integrals
 
@@ -210,8 +209,8 @@ def _node_sum(values: np.ndarray):
 
 
 def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
-                   scale, grid: SphereGrid, jet: dict, scratch=_FRESH,
-                   out=_FRESH) -> GraphSurface:
+                   scale, grid: SphereGrid, jet: dict,
+                   buffers: _Buffers | None = None) -> GraphSurface:
     """The graph r = base_r + scale * phi over the jet of phi on ``grid``:
     its pointwise geometry, each curvature the base slice's plus a
     difference formed without cancellation.  A block of fields with its
@@ -220,24 +219,26 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     reads the patch exactly where the gate accepts its own offsets, and
     each row has the bits of its own graph.
 
-    Every node array is written by ufuncs with ``out=``: the build's
-    temporaries into buffers of ``scratch``, the arrays the surface holds
-    into buffers of ``out``.  Each comment gives the expression a buffer
-    holds, with the operand order and association the calls keep.  By
-    default both make new arrays, so nothing else ever writes the arrays
-    of a surface built that way."""
+    Every node array is written by ufuncs with ``out=``, into arrays
+    taken from ``buffers``: the build's temporaries, then the arrays the
+    surface holds.  Each comment gives the expression a buffer holds,
+    with the operand order and association the calls keep.  By default
+    the arrays come from a new ``_Buffers``, so nothing else ever writes
+    the arrays of a surface built that way."""
     base_r = float(base_r)
     t = scale if np.ndim(scale) else float(scale)
     shape = jet["f"].shape
     st = grid.sin_theta[:, None]
     ct = grid.x[:, None]
     st_sq = st * st
+    if buffers is None:
+        buffers = _Buffers()
     # the build's temporaries; the surface holds none of them
     (t1, t2, rt, rl, u_sq, tilt_m1, w_sq, d_uup, inv_gap, slope, rl_up,
-     dh_tt, dh_ll) = scratch.take(*[shape] * 13)
+     dh_tt, dh_ll) = buffers.take(*[shape] * 13)
     # the arrays the surface holds
     (grad_sq, tilt, area_el, d_area_el, da_tt, da_tl, da_ll, h_tt, h_tl, h_ll,
-     d_mean, mean) = out.take(*[shape] * 12)
+     d_mean, mean) = buffers.take(*[shape] * 12)
 
     s_shift = np.multiply(t, jet["f"], out=t2)
     smax = float(np.max(np.abs(s_shift, out=t1)))

@@ -154,45 +154,40 @@ def _legendre_tables(lmax: int, x: np.ndarray) -> np.ndarray:
 
 
 class _Buffers:
-    """A float slab made on the first ``take`` and handed out again on
-    every later one.
+    """Float arrays handed out one after another from one slab.
 
-    ``take(*shapes)`` lays one C-contiguous array per shape end to end
-    over the leading elements of the slab, grown if too small, so the
-    arrays of one take share no memory and the slab holds the pool's
-    largest take, not the sum of its largest arrays.  Every take starts
-    at the slab's first element: it overwrites what any earlier take
-    handed out.  Each thread keeps a few for every block of its sweeps
-    (``sweeps._Workspace`` says which stage writes which), so every block
-    computes in the same memory.
+    ``take(*shapes)`` lays one C-contiguous array per shape end to end,
+    after every earlier take since the last ``reset``; a take the slab has
+    no room for gets a new slab of its own size.  So no two arrays taken
+    since the last reset share memory.  ``reset`` grows the slab to the
+    total taken since the last one and hands it out again from its start.
+    A new ``_Buffers`` makes new arrays for every take; a sweep keeps one
+    per thread and resets it once per block.
     """
 
     def __init__(self):
         self._slab = np.empty(0)
+        self._taken = 0
 
     def take(self, *shapes: tuple) -> list:
-        """One array per shape, laid end to end over the slab."""
+        """One array per shape, laid end to end after the last take."""
         sizes = [math.prod(shape) for shape in shapes]
-        if self._slab.size < sum(sizes):
-            self._slab = np.empty(sum(sizes))
-        arrays, start = [], 0
+        slab, start = self._slab, self._taken
+        self._taken += sum(sizes)
+        if self._taken > slab.size:
+            slab, start = np.empty(sum(sizes)), 0
+        arrays = []
         for shape, size in zip(shapes, sizes):
-            arrays.append(self._slab[start:start + size].reshape(shape))
+            arrays.append(slab[start:start + size].reshape(shape))
             start += size
         return arrays
 
-
-class _Fresh:
-    """The buffers of a single graph or field: every ``take`` makes new
-    arrays, so nothing a single call returns shares memory with anything
-    else."""
-
-    @staticmethod
-    def take(*shapes: tuple) -> list:
-        return [np.empty(shape) for shape in shapes]
-
-
-_FRESH = _Fresh()
+    def reset(self):
+        """Hand the slab out again from its start, grown to hold all that
+        was taken since the last reset."""
+        if self._slab.size < self._taken:
+            self._slab = np.empty(self._taken)
+        self._taken = 0
 
 
 class SphereGrid:
@@ -277,15 +272,14 @@ class SphereGrid:
         prof = self._profiles(coeffs, 1)
         return self._azimuth_sum(prof[..., None, :])[..., 0, :, :]
 
-    def synthesize_jet(self, coeffs: np.ndarray, *, _scratch=_FRESH,
-                       _out=_FRESH):
+    def synthesize_jet(self, coeffs: np.ndarray, *, _buffers=None):
         """Values and first/second coordinate derivatives on the grid.
 
         ``coeffs`` is one flat coefficient vector or a block of them,
         shape ``(B, n_modes)``; each row of a block gives the bits of its
-        own call.  A sweep passes the buffers of its temporaries as
-        ``_scratch`` and those of the fields as ``_out``; by default both
-        are fresh arrays.
+        own call.  The profile pairs and the fields are one take of
+        ``_buffers``, a sweep's, or by default a new ``_Buffers``, so
+        that the fields share memory with nothing else.
 
         Returns
         -------
@@ -297,13 +291,15 @@ class SphereGrid:
         prof = self._profiles(coeffs, 3)
         lead = prof.shape[:-3]
         prof = prof.reshape(lead + (nm, 2, 3, nl))
-        (pairs,) = _scratch.take(lead + (nm, 2, 6, nl))
+        if _buffers is None:
+            _buffers = _Buffers()
+        pairs, fields = _buffers.take(lead + (nm, 2, 6, nl),
+                                      lead + (6 * nl, self.n_lon))
         pairs[..., :3, :] = prof
         np.multiply(self._dlon[:, :, None, None], prof[..., ::-1, :2, :],
                     out=pairs[..., 3:5, :])
         np.multiply(-(self._dlon[:, 0, None, None] ** 2), prof[..., 0, :],
                     out=pairs[..., 5, :])
-        (fields,) = _out.take(lead + (6 * nl, self.n_lon))
         f, ft, ftt, fl, ftl, fll = np.moveaxis(
             self._azimuth_sum(pairs, fields), -3, 0)
         return {"f": f, "ft": ft, "fl": fl, "ftt": ftt, "ftl": ftl, "fll": fll}

@@ -13,12 +13,13 @@ with the block on the leading axis.  Synthesis and the norms are linear or
 positively homogeneous in the field, so each row scales the unscaled jet
 and norms by its own factor.  Each row computes the bits of a sample run
 on its own through the public calls.  Each thread keeps one
-``_Workspace`` of node buffers for all the blocks of all its sweeps: the
-jet and the graph build of every block, a partial last block too, are
-written into the same buffers in place, and a block's jet and graphs
-never leave ``_sample_block``.  Allocating those arrays afresh in each
-block let the C heap trim and fault back about 1 MiB per block, and
-afresh in each sweep faulted the whole workspace back in every time.
+``sphere._Buffers`` of node arrays for all the blocks of all its sweeps
+and resets it at the start of every block: the jet and the graph build
+of every block, a partial last block too, take their arrays from it, and
+a block's jet and graphs never leave ``_sample_block``.  Allocating those
+arrays afresh in each block let the C heap trim and fault back about
+1 MiB per block, and afresh in each sweep faulted them all back in every
+time.
 Records are fully deterministic functions of the config (per-sample
 generators seeded by (master_seed, index)), so reruns cannot change a
 byte of the payload; wall-clock metadata lives in a separate sidecar
@@ -41,7 +42,6 @@ import numpy as np
 from .errors import InvariantViolation
 from .graph import GraphSurface, _graph_surface
 from .sphere import (
-    _FRESH,
     MAX_GRID_LMAX,
     HarmonicField,
     _Buffers,
@@ -73,8 +73,8 @@ __all__ = [
 # the classifier's bound on residual, mean curvature and deviation
 _CRITICAL_TOL = 1.0e-8
 
-# samples per block, one stacked jet each: the workspace grows with it.
-# With the workspace kept per thread, 16 ran the benchmark's sweeps 1.26x
+# samples per block, one stacked jet each: the kept buffers grow with it.
+# With the buffers kept per thread, 16 ran the benchmark's sweeps 1.26x
 # as fast as 8 for 1.2 MB (2.8%) more peak RSS.  20 ran faster still, but
 # for 3.8% more peak RSS, and it divides the benchmark's n = 100 exactly,
 # so the benchmark would never run a partial last block
@@ -85,33 +85,17 @@ class _Workspace(threading.local):
     """The node buffers a thread keeps for every block of its sweeps.
 
     ``_WORKSPACE`` is the one instance; each thread that reads it gets
-    its own pools, made on its first sweep and kept for the next, so a
-    warm sweep allocates and faults in no node memory.  Each pool is one
-    slab that holds its largest take (``sphere._Buffers``), so the kept
-    workspace is never larger than the largest block, at the largest band
-    limit, that its thread has run; ``sphere._GRID_CACHE`` keeps every
+    its own ``buffers``, made on its first sweep and kept for the next,
+    so a warm sweep allocates and faults in no node memory.  Their slab
+    grows to the largest block, at the largest band limit, that the
+    thread has run, and no larger; ``sphere._GRID_CACHE`` keeps every
     grid in the same way.  Threads share nothing here, and one thread
-    runs one sweep at a time.
-
-    ``_sample_block`` alone hands the pools out, to its stages in this
-    order, and the reuse is safe only while the order holds:
-
-    1. ``synthesize_jet`` writes its profile pairs into ``scratch`` and
-       the block's jet into ``jet``;
-    2. ``_sobolev_norms`` and ``_graph_surface`` read the jet; the build
-       writes its temporaries into ``scratch`` and the arrays the block's
-       surface holds into ``surface``;
-    3. ``GraphSurface.mass_deficit`` reads the surface and returns floats.
-
-    Each stage is done with ``scratch`` before the next one writes it, and
-    the next block writes ``jet`` and ``surface`` again, so neither the
-    block's jet nor its surface leaves ``_sample_block``.
+    runs one sweep at a time.  ``_sample_block`` resets the buffers at
+    the start of every block, and nothing else does.
     """
 
     def __init__(self):
-        self.scratch = _Buffers()
-        self.jet = _Buffers()
-        self.surface = _Buffers()
+        self.buffers = _Buffers()
 
 
 _WORKSPACE = _Workspace()
@@ -310,12 +294,12 @@ def draw_perturbation(rng: np.random.Generator, lmax: int, epsilon: float,
 
 
 def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float,
-                scratch=_FRESH, out=_FRESH) -> tuple:
+                buffers: _Buffers | None = None) -> tuple:
     """``draw_perturbation`` for a block: one row per generator, each
     drawn in the contract's order.  Returns the unscaled block field, the
     arrays of targets and scales, and the geometry grid with the block's
-    jet and norms on it, all unscaled; the jet is written into buffers
-    of ``out``, its temporaries into buffers of ``scratch``."""
+    jet and norms on it, all unscaled; the jet takes its arrays from
+    ``buffers``, or by default from a new ``_Buffers``."""
     deg_max = max(1, lmax // 2)
     ll = np.arange(1, deg_max + 1)
     damping = np.repeat(ll * ll, 2 * ll + 1)
@@ -327,14 +311,13 @@ def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float,
     raw = HarmonicField(coeffs)
     # the geometry grid is also the grid sobolev_norms picks
     grid = get_grid(_geometry_lmax(deg_max))
-    jet = grid.synthesize_jet(raw.padded(grid.lmax), _scratch=scratch,
-                              _out=out)
+    jet = grid.synthesize_jet(raw.padded(grid.lmax), _buffers=buffers)
     norms = _sobolev_norms(raw, u_base, grid, jet)
     return raw, target, target / norms.c2_bound, grid, jet, norms
 
 
 def _sample_block(cfg: SweepConfig, w: WarpFactor, form: QuadraticFormReport,
-                  u_base: float, ws: _Workspace, indices: range) -> list:
+                  u_base: float, buffers: _Buffers, indices: range) -> list:
     """The records of samples ``indices``, run as one block.  Row i's
     norms are the unscaled norms times its scale, and its graph is the
     unscaled jet at its scale, as ``hawking_mass_deficit(w, base_r, raw_i,
@@ -342,15 +325,16 @@ def _sample_block(cfg: SweepConfig, w: WarpFactor, form: QuadraticFormReport,
     over its scaled field, with the q_l of ``form``, the report that also
     gives C_est, as ``slice_second_variation`` evaluates it.
 
-    The block's jet and graphs are written into the buffers of ``ws``
-    in the order ``_Workspace`` gives, and the next block writes them
+    The block's jet and graphs take their arrays from ``buffers``, reset
+    here first, and the next block's reset hands the same memory out
     again, so neither leaves this function: only floats do."""
+    buffers.reset()
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.master_seed, i]))
             for i in indices]
     raw, _, scale, grid, jet, norms = _draw_block(
-        rngs, cfg.lmax, cfg.epsilon, u_base, ws.scratch, ws.jet)
+        rngs, cfg.lmax, cfg.epsilon, u_base, buffers)
     deficits = _graph_surface(w, cfg.base_r, raw, scale[:, None, None], grid,
-                              jet, ws.scratch, ws.surface).mass_deficit()
+                              jet, buffers).mass_deficit()
     phi = HarmonicField(raw.coeffs * scale[:, None])
     q = form.q_by_degree[:phi.lmax + 1]
     predictions = 0.5 * u_base * u_base * np.sum(
@@ -382,10 +366,11 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     """Run the sweep in blocks of ``_SWEEP_BLOCK`` samples and return
     records in index order.
 
-    Every block computes in the calling thread's ``_Workspace``, which
-    the thread keeps for its next sweep.  The records are a pure function
-    of cfg: a sample's record has the same bits in any block and in any
-    workspace.  ``workers`` must be >= 1 and changes nothing.
+    Every block computes in the node buffers the calling thread keeps
+    for its next sweep (``_Workspace``), reset once at its start.  The
+    records are a pure function of cfg: a sample's record has the same
+    bits in any block and in any buffers.  ``workers`` must be >= 1 and
+    changes nothing.
     A graph past the base-slice patch reach has its deficit from the
     global profile, as ``hawking_mass_deficit`` gives it.
     """
@@ -399,7 +384,7 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     records = []
     for start in range(0, cfg.n_samples, _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, cfg.n_samples)
-        records += _sample_block(cfg, w, form, u_base, _WORKSPACE,
+        records += _sample_block(cfg, w, form, u_base, _WORKSPACE.buffers,
                                  range(start, stop))
     return SweepReport(config=cfg, records=records, c_est=form.c_est)
 

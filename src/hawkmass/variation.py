@@ -19,6 +19,7 @@ equation).  lambda_0, carried by the constants, is the first eigenvalue.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,11 +238,16 @@ def fd_second_variation(w: WarpFactor, r: float, phi: HarmonicField,
     differences of cancellation-free deficits at t in {+-h, +-2h}.
 
     Truncation error is O(h^2); the wide pair supplies the Richardson
-    estimate.  Raises RangeError if the +-2h graphs leave the range.
+    estimate.  Raises RangeError if the +-2h graphs leave the range, and
+    ValueError for a step whose square is not a normal float (below about
+    1.5e-154), which would divide by zero or by a subnormal h^2.
     """
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError("step must be positive and finite")
     h = float(step)
+    if h * h < sys.float_info.min:
+        raise ValueError(f"step {h:g} is too small: its square is below "
+                         f"the smallest normal float {sys.float_info.min:g}")
     d = {}
     for mult in (1.0, -1.0, 2.0, -2.0):
         d[mult] = hawking_mass_deficit(w, r, phi, mult * h)

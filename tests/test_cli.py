@@ -188,14 +188,20 @@ def test_sweep_non_finite_radius_is_a_usage_error(flag, value, field):
      "step must be positive and finite"),
     (["variation", "second", "--mode", "both", "--fd-step", "nan"],
      "step must be positive and finite"),
+    (["variation", "second", "--mode", "fd", "--fd-step", "1e-300"],
+     "step 1e-300 is too small"),
+    (["variation", "second", "--mode", "fd", "--fd-step", "1e-160"],
+     "step 1e-160 is too small"),
 ])
 def test_non_finite_scale_or_step_is_named(command, named, y1_file):
-    """A non-finite --scale or --fd-step exits 2 naming itself, not the
+    """A non-finite --scale or --fd-step, or an --fd-step whose square is
+    not a normal float, exits 2 with one line naming itself, not the
     radius range, and no numpy warning reaches stderr."""
     code, out, err = run_cli(*command, "--a", "0.5", "--r", "0.3",
                              "--phi", y1_file)
     assert code == 2
     assert out == ""
+    assert err.count("\n") == 1
     assert named in err
     assert "solved range" not in err
     assert "RuntimeWarning" not in err

@@ -1,5 +1,7 @@
 """Spectral machinery on the unit sphere: transforms, jets, norms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,28 +166,35 @@ def test_block_synthesis_rows_match_single_calls(lmax, block, seed):
         assert np.array_equal(fl[row], one_l)
 
 
-def test_buffers_lay_one_take_end_to_end():
-    """The arrays of one take share no memory.  A smaller later take
-    reuses the same slab from its first element, and a larger one grows
-    it to exactly that take's size."""
+_shapes = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+_blocks = st.lists(st.lists(st.lists(_shapes, min_size=1, max_size=4),
+                            min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks)
+def test_buffers_lay_one_take_end_to_end(blocks):
+    """Each take's arrays come C-contiguous in the shapes asked for, and
+    no two arrays taken since the last reset share memory.  A reset grows
+    the slab to hold at least the block before it, so the same takes
+    again leave the slab the same object."""
     pool = _Buffers()
-    first = pool.take((3, 4), (5,), (2, 2, 2))
-    assert [a.shape for a in first] == [(3, 4), (5,), (2, 2, 2)]
-    assert all(a.flags.c_contiguous for a in first)
-    assert not any(np.shares_memory(x, y)
-                   for i, x in enumerate(first) for y in first[i + 1:])
-    slab = pool._slab
-    assert slab.size == 25
 
-    smaller = pool.take((4,), (6,))
-    assert pool._slab is slab
-    assert np.shares_memory(smaller[0], first[0])
-    assert not np.shares_memory(smaller[0], smaller[1])
+    def run(block):
+        arrays = [a for shapes in block for a in pool.take(*shapes)]
+        assert [a.shape for a in arrays] == [s for sh in block for s in sh]
+        assert all(a.flags.c_contiguous for a in arrays)
+        assert not any(np.shares_memory(x, y)
+                       for i, x in enumerate(arrays) for y in arrays[i + 1:])
 
-    larger = pool.take((20,), (10,))
-    assert pool._slab is not slab and pool._slab.size == 30
-    assert not np.shares_memory(larger[0], larger[1])
-    assert not any(np.shares_memory(x, slab) for x in larger)
+    for block in blocks:
+        pool.reset()
+        run(block)
+        pool.reset()
+        slab = pool._slab
+        assert slab.size >= sum(math.prod(s) for sh in block for s in sh)
+        run(block)
+        assert pool._slab is slab
 
 
 def test_synthesis_rejects_bad_coefficient_shapes():

@@ -26,6 +26,7 @@ from hawkmass import (
     draw_perturbation,
     fd_second_variation,
     foliation_scan,
+    get_grid,
     hawking_mass_deficit,
     jacobi_spectrum,
     perturbation_sweep,
@@ -238,12 +239,14 @@ def surface_bytes(surface):
 
 
 def test_sweeps_and_surfaces_share_no_buffers():
-    """The sweeps of one thread compute in the workspace it keeps, and
+    """The sweeps of one thread compute in the buffers it keeps, and
     each overwrites all that it reads: sweep A, then a sweep B with
     another n, base radius and seed, whose last block is partial, then A
     again give A's payload byte for byte.  A surface from build_graph
-    holds none of that workspace: it keeps its node arrays bit for bit
-    across a later sweep, and two surfaces share no memory."""
+    holds none of those buffers: it keeps its node arrays bit for bit
+    across a later sweep, and two surfaces share no memory.  Nor does
+    the jet of a plain synthesize_jet call: two of them share no memory
+    and keep their bytes across a sweep."""
     block = sweeps._SWEEP_BLOCK
     cfg_a = small_config(base_r=0.4, n_samples=2 * block)
     cfg_b = small_config(base_r=1.5, n_samples=block + 3, master_seed=9)
@@ -252,11 +255,17 @@ def test_sweeps_and_surfaces_share_no_buffers():
     surface = build_graph(w, 0.4, phi, scale=1e-2)
     other = build_graph(w, 0.4, phi, scale=2e-2)
     kept = surface_bytes(surface)
+    grid = get_grid(16)
+    jets = [grid.synthesize_jet(phi.scaled(s).padded(16)) for s in (1, 2)]
+    kept_jets = [[f.tobytes() for f in jet.values()] for jet in jets]
 
     first = perturbation_sweep(cfg_a).records_payload()
     perturbation_sweep(cfg_b)
     assert perturbation_sweep(cfg_a).records_payload() == first
     assert surface_bytes(surface) == kept
+    assert [[f.tobytes() for f in jet.values()] for jet in jets] == kept_jets
+    assert not any(np.shares_memory(x, y)
+                   for x in jets[0].values() for y in jets[1].values())
     for mine, theirs in zip(surface_bytes(surface), surface_bytes(other)):
         assert mine != theirs
     assert not any(np.shares_memory(x, y)

@@ -208,6 +208,18 @@ def test_fd_step_guard_non_finite(w05, step):
                             step=step)
 
 
+def test_fd_step_guard_subnormal_square(w05):
+    """A step whose square underflows to zero or to a subnormal is
+    refused by name, not divided by; the smallest admitted steps run."""
+    phi = HarmonicField.single(1, 0, 1.0)
+    for step in (1e-300, 1e-160, 1.49e-154):
+        with pytest.raises(ValueError, match=f"step {step:g} is too small"):
+            fd_second_variation(w05, 0.0, phi, step=step)
+    for ok in (1.5e-154, 1e-150):
+        fd = fd_second_variation(w05, 0.0, phi, step=ok)
+        assert fd.step == ok and np.isfinite(fd.value)
+
+
 def test_strict_stability_equality_constants(warp_family):
     for w in warp_family.values():
         chk = strict_stability_inequality_check(
