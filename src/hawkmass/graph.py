@@ -228,8 +228,7 @@ def _graph_surface(w: WarpFactor, base_r: float, phi: HarmonicField,
     base_r = float(base_r)
     t = scale if np.ndim(scale) else float(scale)
     shape = jet["f"].shape
-    st = grid.sin_theta[:, None]
-    ct = grid.x[:, None]
+    st, ct = grid.sin_theta_nodes, grid.cos_theta_nodes
     st_sq = st * st
     if buffers is None:
         buffers = _Buffers()
@@ -395,7 +394,7 @@ def build_graph(w: WarpFactor, base_r: float, phi: HarmonicField,
             f"limit {phi.lmax}; products would alias"
         )
     grid = get_grid(int(grid_lmax))
-    jet = grid.synthesize_jet(phi.padded(grid.lmax))
+    jet = grid.synthesize_jet(phi.coeffs)
     return _graph_surface(w, base_r, phi, scale, grid, jet)
 
 

@@ -37,8 +37,13 @@ exactly 0.  Synthesis is then one batched matmul over the orders for the
 colatitude profiles and one matmul of the stacked profile pairs against
 the cosines and sines.  Analysis and the gradient transpose run the same
 two steps backwards and scatter through the same index (the padded
-layout of SHTns: Schaeffer, G^3 14, 2013).  The colatitude nodes are
-Newton-polished Gauss-Legendre nodes.
+layout of SHTns: Schaeffer, G^3 14, 2013).  A jet of a field whose band
+limit L is below the grid's runs the colatitude matmul and the pair
+products for the orders m <= L alone, as SHTns sizes a transform by the
+field's band, and zero-fills the pairs above; every matmul keeps the
+inner dimension of the full band, which is what keeps the bits of the
+zero-padded field.  The colatitude nodes are Newton-polished
+Gauss-Legendre nodes.
 
 The syntheses also take a block of B coefficient rows, shape
 ``(B, n_modes)``, as SHTns transforms many fields per call.  The block is
@@ -211,6 +216,11 @@ class SphereGrid:
         self.sin_theta = np.sqrt(1.0 - x * x)
         self.n_lat = lmax + 1
         self.n_lon = 2 * lmax + 1
+        # sin and cos of the colatitude at every node, (n_lat, n_lon): a node
+        # ufunc then reads two contiguous operands instead of broadcasting
+        # a column
+        self.sin_theta_nodes = np.repeat(self.sin_theta[:, None], self.n_lon, 1)
+        self.cos_theta_nodes = np.repeat(x[:, None], self.n_lon, 1)
         self.lon = 2.0 * np.pi * np.arange(self.n_lon) / self.n_lon
         # quadrature weight per node; sums to 4*pi
         self.quad_weights = np.outer(w, np.full(self.n_lon, 2.0 * np.pi / self.n_lon))
@@ -242,14 +252,17 @@ class SphereGrid:
     # -- transforms: one batched matmul over the orders m ----------------
 
     def _profiles(self, coeffs: np.ndarray, blocks: int) -> np.ndarray:
-        """Colatitude profiles ``(..., m, branch, blocks * n_lat)`` of flat
-        coefficients ``(..., n_modes)`` against the first ``blocks`` table
-        blocks."""
-        coeffs = self._check_coeffs(coeffs)
+        """Colatitude profiles ``(..., m, branch, blocks * n_lat)`` of
+        checked flat coefficients ``(..., (L + 1)**2)`` against the first
+        ``blocks`` table blocks, for the orders m <= L alone.  Each order's
+        gemm keeps its inner dimension lmax + 1, the degrees above L
+        reading 0: a shorter one changed the last bits."""
+        n = coeffs.shape[-1]
         ext = np.zeros(coeffs.shape[:-1] + (self.n_modes + 1,))
-        ext[..., :-1] = coeffs
-        padded = ext[..., self._gather]                 # (..., m, branch, l)
-        return padded @ self._table[:, :, : blocks * self.n_lat]
+        ext[..., :n] = coeffs
+        orders = math.isqrt(n)
+        padded = ext[..., self._gather[:orders]]       # (..., m, branch, l)
+        return padded @ self._table[:orders, :, : blocks * self.n_lat]
 
     def _azimuth_sum(self, pairs: np.ndarray, out=None) -> np.ndarray:
         """Grid fields from profile pairs ``(..., m, branch, k, n_lat)``:
@@ -269,17 +282,23 @@ class SphereGrid:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the field with the given flat coefficients."""
-        prof = self._profiles(coeffs, 1)
+        prof = self._profiles(self._check_coeffs(coeffs), 1)
         return self._azimuth_sum(prof[..., None, :])[..., 0, :, :]
 
     def synthesize_jet(self, coeffs: np.ndarray, *, _buffers=None):
         """Values and first/second coordinate derivatives on the grid.
 
-        ``coeffs`` is one flat coefficient vector or a block of them,
-        shape ``(B, n_modes)``; each row of a block gives the bits of its
-        own call.  The profile pairs and the fields are one take of
-        ``_buffers``, a sweep's, or by default a new ``_Buffers``, so
-        that the fields share memory with nothing else.
+        ``coeffs`` is one flat coefficient vector of any band limit
+        L <= ``lmax``, shape ``((L + 1)**2,)``, or a block of them, shape
+        ``(B, (L + 1)**2)``; each row of a block gives the bits of its own
+        call, and any L gives the bits of the same coefficients
+        zero-padded to ``lmax``.  Only the orders m <= L run (the
+        transform sizes of SHTns: Schaeffer, G^3 14, 2013); the profile
+        pairs above them are zero-filled, so the azimuth gemm keeps its
+        inner dimension 2 (lmax + 1), as the profile gemms keep theirs.
+        The profile pairs and the fields are one take of ``_buffers``, a
+        sweep's; by default each is a new array, so the fields share
+        memory with nothing else and the pairs die with the call.
 
         Returns
         -------
@@ -288,18 +307,21 @@ class SphereGrid:
         ``(B, n_lat, n_lon)`` for a block.
         """
         nm, nl = self.lmax + 1, self.n_lat
-        prof = self._profiles(coeffs, 3)
-        lead = prof.shape[:-3]
-        prof = prof.reshape(lead + (nm, 2, 3, nl))
+        prof = self._profiles(self._check_coeffs(coeffs, any_band=True), 3)
+        lead, orders = prof.shape[:-3], prof.shape[-3]
+        prof = prof.reshape(lead + (orders, 2, 3, nl))
+        shapes = (lead + (nm, 2, 6, nl), lead + (6 * nl, self.n_lon))
         if _buffers is None:
-            _buffers = _Buffers()
-        pairs, fields = _buffers.take(lead + (nm, 2, 6, nl),
-                                      lead + (6 * nl, self.n_lon))
-        pairs[..., :3, :] = prof
-        np.multiply(self._dlon[:, :, None, None], prof[..., ::-1, :2, :],
-                    out=pairs[..., 3:5, :])
-        np.multiply(-(self._dlon[:, 0, None, None] ** 2), prof[..., 0, :],
-                    out=pairs[..., 5, :])
+            pairs, fields = (np.empty(shape) for shape in shapes)
+        else:
+            pairs, fields = _buffers.take(*shapes)
+        pairs[..., orders:, :, :, :] = 0.0
+        own = pairs[..., :orders, :, :, :]
+        own[..., :3, :] = prof
+        np.multiply(self._dlon[:orders, :, None, None], prof[..., ::-1, :2, :],
+                    out=own[..., 3:5, :])
+        np.multiply(-(self._dlon[:orders, 0, None, None] ** 2),
+                    prof[..., 0, :], out=own[..., 5, :])
         f, ft, ftt, fl, ftl, fll = np.moveaxis(
             self._azimuth_sum(pairs, fields), -3, 0)
         return {"f": f, "ft": ft, "fl": fl, "ftt": ftt, "ftl": ftl, "fll": fll}
@@ -308,7 +330,7 @@ class SphereGrid:
         """The ``ft`` and ``fl`` fields of ``synthesize_jet`` alone, read
         from the value and first-derivative tables only."""
         nm, nl = self.lmax + 1, self.n_lat
-        prof = self._profiles(coeffs, 2)
+        prof = self._profiles(self._check_coeffs(coeffs), 2)
         prof = prof.reshape(prof.shape[:-3] + (nm, 2, 2, nl))
         pairs = np.empty(prof.shape[:-2] + (2, nl))
         pairs[..., 0, :] = prof[..., 1, :]
@@ -377,13 +399,20 @@ class SphereGrid:
         self._basis_cache[kind] = mat
         return mat
 
-    def _check_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+    def _check_coeffs(self, coeffs: np.ndarray,
+                      any_band: bool = False) -> np.ndarray:
+        """Float coefficients of a vector or a block of rows: the grid's
+        band limit, or with ``any_band`` any band limit up to it."""
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != self.n_modes:
+        n = coeffs.shape[-1] if coeffs.ndim else 0
+        band_ok = n == self.n_modes or (
+            any_band and 0 < n < self.n_modes and math.isqrt(n) ** 2 == n)
+        if coeffs.ndim not in (1, 2) or not band_ok:
+            expected = (f"(n,) or a block (B, n), n = (L + 1)**2 for a band "
+                        f"L <= {self.lmax}" if any_band else
+                        f"{(self.n_modes,)} or a block (B, {self.n_modes})")
             raise ValueError(
-                f"coefficients have shape {coeffs.shape}, expected "
-                f"{(self.n_modes,)} or a block (B, {self.n_modes})"
-            )
+                f"coefficients have shape {coeffs.shape}, expected {expected}")
         return coeffs
 
     def __repr__(self):  # pragma: no cover
@@ -578,7 +607,7 @@ def sobolev_norms(field: HarmonicField, u: float = 1.0) -> SobolevNorms:
     # oversampled grid: the C^k numbers are sup estimates, and the
     # field's own band-limit grid is too coarse near the poles
     grid = get_grid(_geometry_lmax(field.lmax))
-    jet = grid.synthesize_jet(field.padded(grid.lmax))
+    jet = grid.synthesize_jet(field.coeffs)
     return _sobolev_norms(field, u, grid, jet)
 
 
@@ -598,12 +627,12 @@ def _sobolev_norms(field: HarmonicField, u: float, grid: SphereGrid,
     w22_sq = w12_sq + np.sum(k * k * e, axis=-1) / (u * u)
 
     nodes = (-2, -1)
-    st = grid.sin_theta[:, None]
+    st, ct = grid.sin_theta_nodes, grid.cos_theta_nodes
     grad_sq = jet["ft"] ** 2 + (jet["fl"] / st) ** 2
     # covariant Hessian of the round metric, orthonormal-frame components
     h_tt = jet["ftt"]
-    h_tl = (jet["ftl"] - (grid.x / grid.sin_theta)[:, None] * jet["fl"]) / st
-    h_ll = (jet["fll"] + (grid.sin_theta * grid.x)[:, None] * jet["ft"]) / st**2
+    h_tl = (jet["ftl"] - (ct / st) * jet["fl"]) / st
+    h_ll = (jet["fll"] + (st * ct) * jet["ft"]) / st**2
     hess_sq = h_tt**2 + 2.0 * h_tl**2 + h_ll**2
     norms = dict(
         l2=np.sqrt(l2_sq),

@@ -21,14 +21,18 @@ arrays afresh in each block let the C heap trim and fault back about
 1 MiB per block, and afresh in each sweep faulted them all back in every
 time.
 Records are fully deterministic functions of the config (per-sample
-generators seeded by (master_seed, index)), so reruns cannot change a
-byte of the payload; wall-clock metadata lives in a separate sidecar
-dict.
+generators seeded by (master_seed, index)), so reruns on the same Python,
+numpy and BLAS build and core cannot change a byte of the payload;
+wall-clock metadata lives in a separate sidecar dict.  The seeds of all
+the samples come from one pass over the array of indices,
+``_sample_states``, whose row i is the state ``SeedSequence([master_seed,
+i])`` gives: sample i draws from ``default_rng(SeedSequence([master_seed,
+i]))`` bit for bit, without building that SeedSequence.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import io
 import json
 import math
@@ -246,6 +250,10 @@ class SweepReport:
         return json.dumps(doc, sort_keys=True)
 
     def to_csv(self) -> str:
+        # imported here, as build_meta imports its modules: only the CLI
+        # writes CSV, and every import of the package would pay for it
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(_CSV_COLUMNS)
@@ -274,6 +282,97 @@ def build_meta() -> dict:
     except importlib.metadata.PackageNotFoundError:
         pass
     return meta
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx, after
+# M. E. O'Neill's seed_seq_fe): the entropy pool hash, the output hash and
+# the pool mix
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _sample_states(master_seed: int, n: int) -> np.ndarray:
+    """The seed words of samples 0..n-1, shape (n, 4) uint64: row i is
+    ``SeedSequence([master_seed, i]).generate_state(4, np.uint64)``.
+
+    SeedSequence runs in uint32 arithmetic, and its hash constants step
+    on every call whatever the data, so one pass over the array of
+    indices hashes all the samples at once.  The entropy is the 32-bit
+    words of ``master_seed``, least significant first (``[0]`` for 0),
+    then the index's one word (n <= 2**32); past the pool of 4 (a seed
+    of 2**96 or more) the extra words mix into every pool word."""
+    if not 0 <= n <= 2 ** 32:
+        raise ValueError(f"a sweep holds at most 2**32 samples, got {n}")
+    seed_words = []
+    while True:
+        seed_words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    entropy = [np.full(n, word, dtype=np.uint32) for word in seed_words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 words cycled from the pool, paired
+    # little-endian
+    hash_const = _INIT_B
+    words = np.empty((n, 8), dtype="<u4")
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        words[:, k] = value ^ (value >> np.uint32(16))
+    return words.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _row_seed_type() -> type:
+    """The seed sequence that hands ``PCG64`` one precomputed row of
+    words, made on first use so that importing the package does not
+    import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _RowSeed(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return _RowSeed
+
+
+def _generators(states: np.ndarray) -> list:
+    """One generator per row of ``_sample_states``: the generator of row
+    i is ``default_rng(SeedSequence([master_seed, i]))``, bit for bit."""
+    from numpy.random import PCG64, Generator
+
+    row_seed = _row_seed_type()
+    return [Generator(PCG64(row_seed(row))) for row in states]
 
 
 def draw_perturbation(rng: np.random.Generator, lmax: int, epsilon: float,
@@ -311,14 +410,16 @@ def _draw_block(rngs: list, lmax: int, epsilon: float, u_base: float,
     raw = HarmonicField(coeffs)
     # the geometry grid is also the grid sobolev_norms picks
     grid = get_grid(_geometry_lmax(deg_max))
-    jet = grid.synthesize_jet(raw.padded(grid.lmax), _buffers=buffers)
+    jet = grid.synthesize_jet(raw.coeffs, _buffers=buffers)
     norms = _sobolev_norms(raw, u_base, grid, jet)
     return raw, target, target / norms.c2_bound, grid, jet, norms
 
 
 def _sample_block(cfg: SweepConfig, w: WarpFactor, form: QuadraticFormReport,
-                  u_base: float, buffers: _Buffers, indices: range) -> list:
-    """The records of samples ``indices``, run as one block.  Row i's
+                  u_base: float, buffers: _Buffers, states: np.ndarray,
+                  indices: range) -> list:
+    """The records of samples ``indices``, run as one block, each drawn
+    from the generator its row of ``states`` seeds.  Row i's
     norms are the unscaled norms times its scale, and its graph is the
     unscaled jet at its scale, as ``hawking_mass_deficit(w, base_r, raw_i,
     scale=s_i)`` builds it.  Its prediction is half of u^2 sum_l q_l E_l
@@ -329,10 +430,8 @@ def _sample_block(cfg: SweepConfig, w: WarpFactor, form: QuadraticFormReport,
     here first, and the next block's reset hands the same memory out
     again, so neither leaves this function: only floats do."""
     buffers.reset()
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.master_seed, i]))
-            for i in indices]
     raw, _, scale, grid, jet, norms = _draw_block(
-        rngs, cfg.lmax, cfg.epsilon, u_base, buffers)
+        _generators(states), cfg.lmax, cfg.epsilon, u_base, buffers)
     deficits = _graph_surface(w, cfg.base_r, raw, scale[:, None, None], grid,
                               jet, buffers).mass_deficit()
     phi = HarmonicField(raw.coeffs * scale[:, None])
@@ -381,11 +480,12 @@ def perturbation_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     form = quadratic_form_report(w, cfg.base_r, cfg.lmax)
     # the slice radius that scales the norms and the predictions
     u_base = float(w.taylor_patch(cfg.base_r).coeff_u[0])
+    states = _sample_states(cfg.master_seed, cfg.n_samples)
     records = []
     for start in range(0, cfg.n_samples, _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, cfg.n_samples)
         records += _sample_block(cfg, w, form, u_base, _WORKSPACE.buffers,
-                                 range(start, stop))
+                                 states[start:stop], range(start, stop))
     return SweepReport(config=cfg, records=records, c_est=form.c_est)
 
 

@@ -205,6 +205,66 @@ def test_synthesis_rejects_bad_coefficient_shapes():
             grid.synthesize_jet(np.zeros(shape))
 
 
+def test_synthesis_rejects_a_band_above_the_grid():
+    """A jet takes any band limit up to the grid's and no higher; the
+    other syntheses take the grid's alone."""
+    grid = get_grid(4)
+    with pytest.raises(ValueError, match="coefficients have shape"):
+        grid.synthesize_jet(np.zeros(36))
+    with pytest.raises(ValueError, match="coefficients have shape"):
+        grid.synthesize_jet(np.zeros((2, 36)))
+    for synth in (grid.synthesize, grid.synthesize_gradient):
+        with pytest.raises(ValueError, match="coefficients have shape"):
+            synth(np.zeros(16))
+
+
+@st.composite
+def _band_coeffs(draw):
+    """A grid band limit, a band limit L up to it and coefficients of band
+    L: one vector, or a block of 1 to 5 rows."""
+    lmax = draw(st.sampled_from([1, 2, 5, 16, 33, 40]))
+    band = draw(st.integers(0, lmax))
+    block = draw(st.sampled_from([None, 1, 2, 5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = (band + 1) ** 2 if block is None else (block, (band + 1) ** 2)
+    return lmax, np.random.default_rng(seed).standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_band_coeffs())
+def test_jet_of_a_lower_band_is_the_padded_jet(case):
+    """A jet of band-L coefficients runs only the orders m <= L, and has
+    the bits of the jet of the same coefficients zero-padded to the grid,
+    for single fields and blocks."""
+    lmax, coeffs = case
+    grid = get_grid(lmax)
+    padded = np.zeros(coeffs.shape[:-1] + (grid.n_modes,))
+    padded[..., :coeffs.shape[-1]] = coeffs
+    jet = grid.synthesize_jet(coeffs)
+    ref = grid.synthesize_jet(padded)
+    for key, field in ref.items():
+        assert jet[key].shape == field.shape
+        assert jet[key].tobytes() == field.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_unbuffered_jet_holds_its_fields_alone(block):
+    """A jet made without buffers keeps no profile pairs alive: the one
+    array under its six fields holds exactly their 6 B n_lat n_lon
+    floats."""
+    grid = get_grid(16)
+    shape = (25,) if block is None else (block, 25)
+    jet = grid.synthesize_jet(np.ones(shape))
+
+    def owner(array):
+        while array.base is not None:
+            array = array.base
+        return array
+
+    (root,) = {id(owner(f)): owner(f) for f in jet.values()}.values()
+    assert root.size == 6 * (block or 1) * grid.n_lat * grid.n_lon
+
+
 @pytest.mark.parametrize("lmax", [1, 2, 5, 16, 33])
 def test_gradient_transpose_is_adjoint_of_gradient(lmax):
     """g @ c == sum(flux_t * ft + flux_l * fl) for the gradient of c."""

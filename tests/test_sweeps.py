@@ -10,7 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawkmass import (
@@ -124,6 +124,46 @@ def test_draw_is_deterministic():
     r3 = np.random.default_rng(np.random.SeedSequence([7, 4]))
     phi3, _, _ = draw_perturbation(r3, 16, 1e-2, 0.5)
     assert not np.array_equal(phi1.coeffs, phi3.coeffs)
+
+
+_seed_words = st.integers(1, 6).flatmap(
+    lambda k: st.integers(2 ** (32 * (k - 1)) if k > 1 else 0,
+                          2 ** (32 * k) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(master_seed=_seed_words, index=st.integers(0, 10**5))
+@example(master_seed=0, index=0)
+@example(master_seed=2**32 - 1, index=1)
+@example(master_seed=2**32, index=16)
+@example(master_seed=2**96 + 1, index=10**5)
+@example(master_seed=2**128 + 1, index=18)
+def test_sample_states_are_seed_sequence_states(master_seed, index):
+    """Row i of the one seeding pass is the state SeedSequence([seed, i])
+    hands PCG64, for master seeds of 1 to 6 words: up to 3 fill the pool
+    of 4 with the index, and more run its extra mixing loop.  The
+    generator built from the row draws the numbers default_rng draws."""
+    states = sweeps._sample_states(master_seed, index + 1)
+    assert states.shape == (index + 1, 4) and states.dtype == np.uint64
+    seq = np.random.SeedSequence([master_seed, index])
+    assert np.array_equal(states[index], seq.generate_state(4, np.uint64))
+    (mine,) = sweeps._generators(states[index:])
+    ref = np.random.default_rng(seq)
+    assert np.array_equal(mine.standard_normal(80), ref.standard_normal(80))
+    assert mine.uniform() == ref.uniform()
+
+
+def test_sample_states_refuse_an_index_past_one_word():
+    with pytest.raises(ValueError, match="at most 2\\*\\*32 samples"):
+        sweeps._sample_states(7, 2**32 + 1)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """The sweep imports numpy.random on its first block, not before."""
+    script = ("import sys\n"
+              "import hawkmass\n"
+              "print('numpy.random' in sys.modules)\n")
+    assert run_fresh(script).strip() == "False"
 
 
 def test_draw_hits_c2_target():
