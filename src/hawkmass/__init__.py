@@ -15,13 +15,11 @@ from .sphere import (
     HarmonicField,
     SobolevNorms,
     SphereGrid,
-    analyze,
     coeff_index,
     get_grid,
     gradient_norm_sq_integral,
     laplacian_unit,
     sobolev_norms,
-    synthesize,
 )
 from .warp import (
     SliceGeometry,
@@ -76,13 +74,11 @@ __all__ = [
     "HarmonicField",
     "SobolevNorms",
     "SphereGrid",
-    "analyze",
     "coeff_index",
     "get_grid",
     "gradient_norm_sq_integral",
     "laplacian_unit",
     "sobolev_norms",
-    "synthesize",
     "SliceGeometry",
     "WarpFactor",
     "conserved_mass",

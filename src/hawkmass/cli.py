@@ -52,6 +52,7 @@ _DEF_FD_STEP = 1.0e-3
 # the most slices a scan, degrees a spectrum and samples a sweep take: a
 # scan holds about 800 bytes per slice with its JSON, 80 MB here
 _MAX_POINTS = 100_000
+_BASE_R_HELP = "radius of the base slice (default 0, the minimal slice)"
 
 
 def _write_artifact(path: str, text: str) -> None:
@@ -229,59 +230,82 @@ def build_parser() -> argparse.ArgumentParser:
     slc_ops = slc.add_subparsers(dest="op", required=True)
     p = slc_ops.add_parser("info", parents=[common],
                            help="closed-form geometry of one slice")
-    p.add_argument("--r", type=float, default=0.0)
+    p.add_argument("--r", type=float, default=0.0,
+                   help="slice radius (default 0, the minimal slice)")
     p.set_defaults(func=_cmd_slice_info)
 
     mass = groups.add_parser("mass", help="Hawking mass of graphs")
     mass_ops = mass.add_subparsers(dest="op", required=True)
     p = mass_ops.add_parser("graph", parents=[common],
                             help="mass and residuals of a normal graph")
-    p.add_argument("--r", type=float, default=0.0)
+    p.add_argument("--r", type=float, default=0.0, help=_BASE_R_HELP)
     p.add_argument("--phi", type=str, required=True,
                    help="perturbation field JSON")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--grid-lmax", type=int, default=None, dest="grid_lmax")
+    p.add_argument("--scale", type=float, default=1.0,
+                   help="multiplier of the field: the graph is "
+                        "r = --r + scale * phi")
+    p.add_argument("--grid-lmax", type=int, default=None, dest="grid_lmax",
+                   help=f"geometry grid band limit, at least twice the "
+                        f"field's and at most {MAX_GRID_LMAX} (default "
+                        f"max(2 * field lmax, 16))")
     p.set_defaults(func=_cmd_mass_graph)
 
     spec = groups.add_parser("spectrum", help="stability operator spectrum")
     spec_ops = spec.add_subparsers(dest="op", required=True)
     p = spec_ops.add_parser("jacobi", parents=[common],
                             help="eigenvalues by harmonic degree")
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--lmax", type=int, default=8)
+    p.add_argument("--r", type=float, default=0.0,
+                   help="slice radius (default 0, the minimal slice)")
+    p.add_argument("--lmax", type=int, default=8,
+                   help=f"highest harmonic degree, 0 to {_MAX_POINTS}")
     p.set_defaults(func=_cmd_spectrum_jacobi)
 
     var = groups.add_parser("variation", help="second-variation forms")
     var_ops = var.add_subparsers(dest="op", required=True)
     p = var_ops.add_parser("second", parents=[common],
                            help="second variation of the Hawking mass")
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--phi", type=str, required=True)
+    p.add_argument("--r", type=float, default=0.0, help=_BASE_R_HELP)
+    p.add_argument("--phi", type=str, required=True,
+                   help="perturbation field JSON")
     p.add_argument("--mode", choices=("spectral", "fd", "both"),
-                   default="spectral")
+                   default="spectral",
+                   help="spectral: the closed form; fd: central differences "
+                        "of mass deficits; both: each and their difference")
     p.add_argument("--fd-step", type=float, default=_DEF_FD_STEP,
-                   dest="fd_step")
+                   dest="fd_step",
+                   help="finite-difference step h: the graphs of +-h and "
+                        "+-2h times phi")
     p.set_defaults(func=_cmd_variation_second)
 
     sweep = groups.add_parser("sweep", help="seeded perturbation sweeps")
     sweep_ops = sweep.add_subparsers(dest="op", required=True)
     p = sweep_ops.add_parser("perturb", parents=[common],
                              help="random C2-small graphs, mass deficits")
-    p.add_argument("--r", type=float, default=0.0)
+    p.add_argument("--r", type=float, default=0.0, help=_BASE_R_HELP)
     p.add_argument("--eps", type=float, default=1.0e-2,
                    help="C2 radius of the ensemble")
     p.add_argument("--n", type=int, default=100,
                    help=f"number of samples, 1 to {_MAX_POINTS}")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--lmax", type=int, default=16)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.add_argument("--seed", type=int, default=42,
+                   help="master seed, >= 0: sample i draws from "
+                        "SeedSequence([seed, i])")
+    p.add_argument("--lmax", type=int, default=16,
+                   help="band limit, >= 2: samples draw degrees 1 to "
+                        "lmax // 2 (17 draws what 16 does) on the geometry "
+                        "grid of band max(2 * (lmax // 2), 16); C_est is the "
+                        "minimum over degrees 1 to lmax")
+    p.add_argument("--format", choices=("json", "csv"), default="csv",
+                   help="artifact format: one CSV row per sample, or JSON "
+                        "with the config, the records and the aggregate")
     p.set_defaults(func=_cmd_sweep_perturb)
 
     scan = groups.add_parser("scan", help="foliation identity scans")
     scan_ops = scan.add_subparsers(dest="op", required=True)
     p = scan_ops.add_parser("foliation", parents=[common],
                             help="mass constancy and sign structure")
-    p.add_argument("--slices", type=int, default=64)
+    p.add_argument("--slices", type=int, default=64,
+                   help=f"slices evenly spaced over one period, 2 to "
+                        f"{_MAX_POINTS}")
     p.set_defaults(func=_cmd_scan_foliation)
 
     return top

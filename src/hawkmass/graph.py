@@ -187,9 +187,11 @@ class GraphSurface:
     @cached_property
     def el_residual(self) -> np.ndarray:
         """Pointwise residual of the criticality equation on the nodes,
-        lap H + (criticality potential) * H; one induced Gram solve."""
+        lap H + (criticality potential) * H; one induced Gram solve, of
+        one graph alone, as the potential refuses a block first."""
+        potential = _el_potential(self)
         lap_h = induced_laplacian(self, self.mean_curvature)
-        return lap_h + _el_potential(self) * self.mean_curvature
+        return lap_h + potential * self.mean_curvature
 
     def el_residual_max(self) -> float:
         return float(np.max(np.abs(self.el_residual)))
@@ -399,16 +401,22 @@ def build_graph(w: WarpFactor, base_r: float, phi: HarmonicField,
 
 
 def hawking_mass_deficit(w: WarpFactor, base_r: float, phi: HarmonicField,
-                         scale: float = 1.0,
-                         grid_lmax: int | None = None) -> float:
+                         scale: float = 1.0) -> float:
     """m_H(graph) - m_H(base slice) without cancellation: the
     ``mass_deficit`` of ``build_graph`` on the same arguments."""
-    return build_graph(w, base_r, phi, scale, grid_lmax).mass_deficit()
+    return build_graph(w, base_r, phi, scale).mass_deficit()
 
 
 def _el_potential(surface: GraphSurface) -> np.ndarray:
     """Zeroth-order coefficient of the criticality equation:
-    4pi/|S| - K + (R-2)/2 + (2|A|^2 - avg int H^2) / 4, with R = 2."""
+    4pi/|S| - K + (R-2)/2 + (2|A|^2 - avg int H^2) / 4, with R = 2.
+
+    It takes one graph: of a block, whose area is one per row, it raises
+    ``ValueError``, and so do the residual and the Q integral."""
+    if np.ndim(surface.area):
+        raise ValueError(
+            "the Euler-Lagrange potential takes one graph, not a block of "
+            f"{np.size(surface.area)}; build each graph on its own")
     avg_will = surface.willmore / surface.area
     return (
         4.0 * np.pi / surface.area

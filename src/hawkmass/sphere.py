@@ -22,9 +22,11 @@ A field of coefficients ``c`` has unit-sphere integrals
 and the same field read on a round slice of radius ``u`` scales these by
 ``u^2``, ``1`` and ``u^-2`` respectively.
 
-A ``HarmonicField`` is its coefficients alone.  The grid is passed where
-a transform runs, and ``synthesize`` refuses a field whose band limit is
-above the grid's.
+A ``HarmonicField`` is its coefficients alone.  Each transform is a
+method of the grid it runs on: ``grid.synthesize(phi.coeffs)`` gives grid
+values and ``HarmonicField(grid.analyze(values))`` the field back.  Every
+synthesis takes coefficients of any band limit up to the grid's and
+refuses a higher one.
 
 Transform layout
 ----------------
@@ -37,8 +39,8 @@ exactly 0.  Synthesis is then one batched matmul over the orders for the
 colatitude profiles and one matmul of the stacked profile pairs against
 the cosines and sines.  Analysis and the gradient transpose run the same
 two steps backwards and scatter through the same index (the padded
-layout of SHTns: Schaeffer, G^3 14, 2013).  A jet of a field whose band
-limit L is below the grid's runs the colatitude matmul and the pair
+layout of SHTns: Schaeffer, G^3 14, 2013).  A synthesis of a field whose
+band limit L is below the grid's runs the colatitude matmul and the pair
 products for the orders m <= L alone, as SHTns sizes a transform by the
 field's band, and zero-fills the pairs above; every matmul keeps the
 inner dimension of the full band, which is what keeps the bits of the
@@ -70,8 +72,6 @@ __all__ = [
     "SobolevNorms",
     "get_grid",
     "coeff_index",
-    "analyze",
-    "synthesize",
     "laplacian_unit",
     "gradient_norm_sq_integral",
     "sobolev_norms",
@@ -268,8 +268,14 @@ class SphereGrid:
         """Grid fields from profile pairs ``(..., m, branch, k, n_lat)``:
         one matmul against the stacked cosines and sines, shape
         ``(..., k, n_lat, n_lon)``, into ``out`` of shape
-        ``(..., k * n_lat, n_lon)`` when given."""
-        lead, k = pairs.shape[:-4], pairs.shape[-2]
+        ``(..., k * n_lat, n_lon)`` when given.  Pairs of the orders
+        m <= L alone are zero-filled above L first, so the matmul keeps
+        its inner dimension 2 (lmax + 1)."""
+        lead, orders, k = pairs.shape[:-4], pairs.shape[-4], pairs.shape[-2]
+        if orders <= self.lmax:
+            full = np.zeros(lead + (self.lmax + 1,) + pairs.shape[-3:])
+            full[..., :orders, :, :, :] = pairs
+            pairs = full
         flat = pairs.reshape(lead + (self._azimuth.shape[0], k * self.n_lat))
         return np.matmul(np.swapaxes(flat, -1, -2), self._azimuth,
                          out=out).reshape(lead + (k, self.n_lat, self.n_lon))
@@ -281,7 +287,10 @@ class SphereGrid:
         return out[: self.n_modes]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values of the field with the given flat coefficients."""
+        """Grid values of the field with the given flat coefficients, of
+        any band limit L <= ``lmax``, one vector or a block of rows, as
+        ``synthesize_jet`` takes them; shape ``(n_lat, n_lon)``, or
+        ``(B, n_lat, n_lon)`` for a block."""
         prof = self._profiles(self._check_coeffs(coeffs), 1)
         return self._azimuth_sum(prof[..., None, :])[..., 0, :, :]
 
@@ -307,7 +316,7 @@ class SphereGrid:
         ``(B, n_lat, n_lon)`` for a block.
         """
         nm, nl = self.lmax + 1, self.n_lat
-        prof = self._profiles(self._check_coeffs(coeffs, any_band=True), 3)
+        prof = self._profiles(self._check_coeffs(coeffs), 3)
         lead, orders = prof.shape[:-3], prof.shape[-3]
         prof = prof.reshape(lead + (orders, 2, 3, nl))
         shapes = (lead + (nm, 2, 6, nl), lead + (6 * nl, self.n_lon))
@@ -328,13 +337,15 @@ class SphereGrid:
 
     def synthesize_gradient(self, coeffs: np.ndarray):
         """The ``ft`` and ``fl`` fields of ``synthesize_jet`` alone, read
-        from the value and first-derivative tables only."""
-        nm, nl = self.lmax + 1, self.n_lat
+        from the value and first-derivative tables only; the same
+        coefficients as ``synthesize_jet`` take."""
+        nl = self.n_lat
         prof = self._profiles(self._check_coeffs(coeffs), 2)
-        prof = prof.reshape(prof.shape[:-3] + (nm, 2, 2, nl))
+        orders = prof.shape[-3]
+        prof = prof.reshape(prof.shape[:-3] + (orders, 2, 2, nl))
         pairs = np.empty(prof.shape[:-2] + (2, nl))
         pairs[..., 0, :] = prof[..., 1, :]
-        pairs[..., 1, :] = self._dlon[:, :, None] * prof[..., ::-1, 0, :]
+        pairs[..., 1, :] = self._dlon[:orders, :, None] * prof[..., ::-1, 0, :]
         ft, fl = np.moveaxis(self._azimuth_sum(pairs), -3, 0)
         return ft, fl
 
@@ -399,20 +410,16 @@ class SphereGrid:
         self._basis_cache[kind] = mat
         return mat
 
-    def _check_coeffs(self, coeffs: np.ndarray,
-                      any_band: bool = False) -> np.ndarray:
-        """Float coefficients of a vector or a block of rows: the grid's
-        band limit, or with ``any_band`` any band limit up to it."""
+    def _check_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Float coefficients of a vector or a block of rows, of any band
+        limit L up to the grid's: (L + 1)**2 of them per row."""
         coeffs = np.asarray(coeffs, dtype=float)
         n = coeffs.shape[-1] if coeffs.ndim else 0
-        band_ok = n == self.n_modes or (
-            any_band and 0 < n < self.n_modes and math.isqrt(n) ** 2 == n)
-        if coeffs.ndim not in (1, 2) or not band_ok:
-            expected = (f"(n,) or a block (B, n), n = (L + 1)**2 for a band "
-                        f"L <= {self.lmax}" if any_band else
-                        f"{(self.n_modes,)} or a block (B, {self.n_modes})")
+        if (coeffs.ndim not in (1, 2)
+                or not (0 < n <= self.n_modes and math.isqrt(n) ** 2 == n)):
             raise ValueError(
-                f"coefficients have shape {coeffs.shape}, expected {expected}")
+                f"coefficients have shape {coeffs.shape}, expected (n,) or a "
+                f"block (B, n), n = (L + 1)**2 for a band L <= {self.lmax}")
         return coeffs
 
     def __repr__(self):  # pragma: no cover
@@ -474,6 +481,9 @@ class HarmonicField:
         if coeffs.ndim not in (1, 2):
             raise ValueError("coefficients must be a vector or a block of rows")
         n = coeffs.shape[-1]
+        if n == 0:
+            raise ValueError("field lmax must be an integer >= 0, got no "
+                             "coefficients")
         lmax = int(round(np.sqrt(n))) - 1
         if (lmax + 1) ** 2 != n:
             raise ValueError(f"coefficient length {n} is not a perfect square")
@@ -562,19 +572,6 @@ class HarmonicField:
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def analyze(grid: SphereGrid, values: np.ndarray) -> HarmonicField:
-    """Project grid values onto harmonics up to the grid band limit."""
-    return HarmonicField(grid.analyze(values))
-
-
-def synthesize(field: HarmonicField, grid: SphereGrid) -> np.ndarray:
-    """Evaluate a field on a grid whose band limit is at least the field's."""
-    if field.lmax > grid.lmax:
-        raise ValueError(f"field band limit {field.lmax} above grid band "
-                         f"limit {grid.lmax}")
-    return grid.synthesize(field.padded(grid.lmax))
 
 
 def laplacian_unit(field: HarmonicField) -> HarmonicField:

@@ -39,7 +39,7 @@ import math
 import platform
 import sys
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,6 +76,14 @@ __all__ = [
 
 # the classifier's bound on residual, mean curvature and deviation
 _CRITICAL_TOL = 1.0e-8
+# the sweep verdict's tolerances: a graph passes when its coercivity ratio
+# is at least 1 - _RATIO_SLACK; a draw whose C^2 norm is below _SLICE_NORM
+# counts as a slice, which passes when its |deficit| is below
+# _SLICE_DEFICIT.  Every payload's config records the first two
+_RATIO_SLACK = 0.1
+_SLICE_NORM = 1.0e-8
+_SLICE_DEFICIT = 1.0e-12
+_TOLERANCES = {"ratio_slack": _RATIO_SLACK, "slice_norm": _SLICE_NORM}
 
 # samples per block, one stacked jet each: the kept buffers grow with it.
 # With the buffers kept per thread, 16 ran the benchmark's sweeps 1.26x
@@ -112,7 +120,10 @@ class SweepConfig:
     ``epsilon`` is the C^2 radius of the sampled perturbations; every
     sample's C^2 estimate is a uniform draw in (0, epsilon].  Per-sample
     generators are seeded with (master_seed, index), which fixes the
-    records independent of execution order.
+    records independent of execution order.  The verdict's tolerances are
+    the module's fixed ``_RATIO_SLACK`` and ``_SLICE_NORM``, not fields:
+    ``to_dict`` writes them under ``"tolerances"`` and ``from_dict``
+    refuses a stored value other than them.
     """
 
     a: float
@@ -121,15 +132,16 @@ class SweepConfig:
     n_samples: int
     master_seed: int
     lmax: int = 16
-    tolerances: dict = field(default_factory=lambda: {
-        "ratio_slack": 0.1,
-        "slice_norm": 1.0e-8,
-    })
 
     def validate(self) -> None:
         for name in ("a", "base_r"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("n_samples", "master_seed", "lmax"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be > 0")
         if self.n_samples < 1:
@@ -143,18 +155,11 @@ class SweepConfig:
                 f"{grid_lmax}, above {MAX_GRID_LMAX}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        for key in ("ratio_slack", "slice_norm"):
-            if key not in self.tolerances:
-                raise ValueError(f"tolerances must hold {key}")
-            if not (np.isfinite(self.tolerances[key])
-                    and self.tolerances[key] >= 0.0):
-                raise ValueError(f"tolerances {key} must be finite and >= 0")
         # every draw's C^2 norm is at most epsilon, so none would be a graph
-        if not self.epsilon > self.tolerances["slice_norm"]:
+        if not self.epsilon > _SLICE_NORM:
             raise ValueError(
                 f"epsilon {self.epsilon:g} must exceed tolerances slice_norm "
-                f"{self.tolerances['slice_norm']:g}, below which a draw "
-                f"counts as a slice")
+                f"{_SLICE_NORM:g}, below which a draw counts as a slice")
         # a draw's max|phi| is at most its C^2 estimate on the same grid,
         # so at most epsilon: this keeps every graph in the solved range.
         # solve_for_config names a radius past _MAX_RADIUS itself
@@ -165,16 +170,21 @@ class SweepConfig:
                 f"range: |base_r| + epsilon must be <= {_MAX_RANGE:g}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "tolerances": dict(_TOLERANCES)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        stored = d.get("tolerances", _TOLERANCES)
+        for key in sorted(set(stored) | set(_TOLERANCES)):
+            if stored.get(key) != _TOLERANCES.get(key):
+                raise ValueError(
+                    f"stored tolerances {key} {stored.get(key)!r} is not the "
+                    f"fixed {_TOLERANCES.get(key)!r}")
         # payloads written before fd_step was dropped still carry the key
         return cls(
             a=float(d["a"]), base_r=float(d["base_r"]),
             epsilon=float(d["epsilon"]), n_samples=int(d["n_samples"]),
             master_seed=int(d["master_seed"]), lmax=int(d["lmax"]),
-            tolerances={k: float(v) for k, v in d["tolerances"].items()},
         )
 
 
@@ -438,22 +448,20 @@ def _sample_block(cfg: SweepConfig, w: WarpFactor, form: QuadraticFormReport,
     q = form.q_by_degree[:phi.lmax + 1]
     predictions = 0.5 * u_base * u_base * np.sum(
         q * phi.degree_energies(), axis=-1)
-    slice_tol = cfg.tolerances["slice_norm"]
-    slack = cfg.tolerances["ratio_slack"]
     records = []
     for index, c2_norm, w22_norm, deficit, prediction in zip(
             indices, (norms.c2_bound * scale).tolist(),
             (norms.w22 * scale).tolist(), deficits.tolist(),
             predictions.tolist()):
-        if c2_norm < slice_tol:
+        if c2_norm < _SLICE_NORM:
             records.append(SweepRecord(
                 index=index, seed=cfg.master_seed, c2_norm=c2_norm,
                 w22_norm=w22_norm, deficit=deficit, prediction=0.0,
-                ratio=0.0, ok=abs(deficit) < 1.0e-12, kind="slice"))
+                ratio=0.0, ok=abs(deficit) < _SLICE_DEFICIT, kind="slice"))
             continue
         bound = -(form.c_est / 4.0) * w22_norm ** 2
         ratio = deficit / bound
-        ok = (deficit < 0.0) and (ratio >= 1.0 - slack)
+        ok = (deficit < 0.0) and (ratio >= 1.0 - _RATIO_SLACK)
         records.append(SweepRecord(
             index=index, seed=cfg.master_seed, c2_norm=c2_norm,
             w22_norm=w22_norm, deficit=deficit, prediction=prediction,

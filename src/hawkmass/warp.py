@@ -81,9 +81,10 @@ _PATCH_TOL = 1.0e-13
 _ORDER_CUT = 2.0 ** -96
 
 
-def _taylor_column(u0: float, up0: float, order: int = _BASE_ORDER) -> list:
-    """Taylor coefficients [U_0, ..., U_order] of the solution through
-    (u0, up0), in plain floats, with u(r0 + s) = sum_k U[k] s^k.
+def _taylor_column(u0: float, up0: float) -> list:
+    """Taylor coefficients [U_0, ..., U_28] (order ``_BASE_ORDER``) of
+    the solution through (u0, up0), in plain floats, with
+    u(r0 + s) = sum_k U[k] s^k.
 
     Uses 2 u u'' + u'^2 + u^2 = 1 order by order: each order sums each
     factor pair's Cauchy product left to right from 0.0, then adds the
@@ -98,7 +99,7 @@ def _taylor_column(u0: float, up0: float, order: int = _BASE_ORDER) -> list:
     D = [up0]               # u'
     twoU = [2.0 * u0, 2.0 * up0]
     A = [0.0]               # u'', one order behind: its top term is zero
-    for k in range(order - 1):
+    for k in range(_BASE_ORDER - 1):
         acc = 0.0
         for left, right in ((twoU, A), (D, D), (U, U)):
             acc += reduce(add, map(mul, left[k::-1], right), 0.0)

@@ -54,6 +54,32 @@ def test_a_help_names_the_admitted_range(capsys):
     assert main(["metric", "solve", "--a", str(A_MIN / 2)]) == 2
 
 
+def test_every_option_has_help():
+    """Every option of every subcommand says what it does."""
+    import argparse
+
+    from hawkmass.cli import build_parser
+
+    def commands(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield sub
+                    yield from commands(sub)
+
+    leaves, missing = [], []
+    for command in commands(build_parser()):
+        options = [action for action in command._actions
+                   if action.option_strings]
+        if not any(isinstance(action, argparse._SubParsersAction)
+                   for action in command._actions):
+            leaves.append(command.prog)
+        missing += [(command.prog, action.option_strings[0])
+                    for action in options if not action.help]
+    assert len(leaves) == 7
+    assert missing == []
+
+
 def test_metric_artifact_round_trip(tmp_path):
     out_path = tmp_path / "warp.json"
     code, _, _ = run_cli("metric", "solve", "--a", "0.5",
@@ -246,7 +272,8 @@ def test_artifact_keys_are_dataclass_fields(capsys):
         names(FoliationScan))
     doc = keys("sweep", "perturb", "--a", "0.5", "--n", "2", "--format",
                "json")
-    assert set(doc["config"]) == names(SweepConfig)
+    # the verdict's fixed tolerances, recorded with every config
+    assert set(doc["config"]) == names(SweepConfig) | {"tolerances"}
     for record in doc["records"]:
         assert set(record) == names(SweepRecord) - {"ok"} | {"pass"}
 

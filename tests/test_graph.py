@@ -15,7 +15,6 @@ from hawkmass import (
     RangeError,
     SolveError,
     SphereGrid,
-    analyze,
     build_graph,
     coeff_index,
     get_grid,
@@ -23,7 +22,6 @@ from hawkmass import (
     induced_laplacian,
     slice_geometry,
     sobolev_norms,
-    synthesize,
 )
 from hawkmass import graph, sphere
 from hawkmass.cli import main
@@ -113,7 +111,7 @@ def test_global_route_deficit_matches_patch_route(w05, seed, base_r, size):
     7.2e-16 at 1.5."""
     phi = _damped(seed)
     grid = get_grid(16)
-    scale = size / float(np.max(np.abs(synthesize(phi, grid))))
+    scale = size / float(np.max(np.abs(grid.synthesize(phi.coeffs))))
     assert w05.taylor_patch(base_r).covers(size * (1.0 + 1e-12))
     ref = build_graph(w05, base_r, phi, scale).mass_deficit()
     with mock.patch.object(TaylorPatch, "covers", lambda self, smax: False):
@@ -229,7 +227,7 @@ def test_induced_laplacian_slice_eigenfunctions(w05):
     s = build_graph(w05, 0.6, HarmonicField.zeros(4), grid_lmax=16)
     u, _ = w05.evaluate(0.6)
     for l, m in [(1, 0), (2, -1), (3, 3)]:
-        f = synthesize(HarmonicField.single(l, m, 1.0), s.grid)
+        f = s.grid.synthesize(HarmonicField.single(l, m, 1.0).coeffs)
         lap = induced_laplacian(s, f)
         assert_allclose(lap, -l * (l + 1) / (u * u) * f, rtol=0, atol=1e-9)
 
@@ -243,7 +241,7 @@ def test_induced_laplacian_slice_eigenfunctions_large_band_limit(w05):
     s = build_graph(w05, 0.6, HarmonicField.zeros(4), grid_lmax=80)
     u, _ = w05.evaluate(0.6)
     for l, m in [(1, 0), (2, -1), (3, 3), (40, -13)]:
-        f = synthesize(HarmonicField.single(l, m, 1.0), s.grid)
+        f = s.grid.synthesize(HarmonicField.single(l, m, 1.0).coeffs)
         lap = induced_laplacian(s, f)
         assert_allclose(lap, -l * (l + 1) / (u * u) * f, rtol=0, atol=1e-9)
 
@@ -282,7 +280,7 @@ def test_induced_laplacian_matches_dense_reference(w05, dense_grids,
     solve on mean-free graphs of band limit grid_lmax / 2."""
     lmax = grid_lmax // 2
     phi = bumpy_field(lmax, seed)
-    peak = float(np.max(np.abs(synthesize(phi, get_grid(lmax)))))
+    peak = float(np.max(np.abs(get_grid(lmax).synthesize(phi.coeffs))))
     s = build_graph(w05, base_r, phi.scaled(amp / peak), grid_lmax=grid_lmax)
     dense = _dense_laplacian(s, s.mean_curvature, dense_grids(grid_lmax))
     diff = induced_laplacian(s, s.mean_curvature) - dense
@@ -321,7 +319,7 @@ def test_induced_laplacian_constants(w05):
 def test_induced_laplacian_integrates_to_zero(w05):
     """Divergence form: the weak Laplacian has zero total integral."""
     s = build_graph(w05, 0.6, bumpy_field(3, seed=17, amp=0.03))
-    f = synthesize(HarmonicField.single(2, 1, 1.0), s.grid)
+    f = s.grid.synthesize(HarmonicField.single(2, 1, 1.0).coeffs)
     lap = induced_laplacian(s, f)
     total = float(np.sum(s.grid.quad_weights * s.area_element * lap))
     assert abs(total) < 1e-10
@@ -350,7 +348,7 @@ def test_graph_beyond_patch_reach(w05, tmp_path, capsys):
     -0.209, is the plain mass difference to roundoff."""
     phi = HarmonicField.single(2, 0, 1.0)
     s = build_graph(w05, 0.0, phi, scale=0.6)
-    u, up = w05.evaluate(0.0 + 0.6 * synthesize(phi, s.grid))
+    u, up = w05.evaluate(0.0 + 0.6 * s.grid.synthesize(phi.coeffs))
     assert np.array_equal(s.u, u)
     assert np.array_equal(s.uprime, up)
     plain = s.hawking_mass() - slice_geometry(w05, 0.0).hawking_mass
@@ -524,7 +522,8 @@ def _rotated(phi, rot):
     band-limit grid, analyzed back, which is exact for a band-limited
     field."""
     grid = get_grid(phi.lmax)
-    return analyze(grid, _field_at(phi, _grid_points(grid) @ rot))
+    values = _field_at(phi, _grid_points(grid) @ rot)
+    return HarmonicField(grid.analyze(values))
 
 
 def test_rotation_evaluator_matches_synthesize():
@@ -532,7 +531,7 @@ def test_rotation_evaluator_matches_synthesize():
     the rotated fields below are phi's rotations to roundoff."""
     phi = _damped_field(np.random.default_rng(3)).scaled(0.3)
     grid = get_grid(16)
-    assert_allclose(_field_at(phi, _grid_points(grid)), synthesize(phi, grid),
+    assert_allclose(_field_at(phi, _grid_points(grid)), grid.synthesize(phi.coeffs),
                     rtol=0, atol=1e-15)
     assert_allclose(_rotated(phi, np.eye(3)).coeffs, phi.coeffs,
                     rtol=0, atol=1e-15)
@@ -605,6 +604,28 @@ def test_mixed_block_rows_equal_their_own_graphs(w05):
     with pytest.raises(RangeError, match="leaves tabulated range"):
         graph._graph_surface(w05, w05.r_max - 0.1, phi, 1.0, grid,
                              grid.synthesize_jet(phi.padded(16)))
+
+
+@pytest.mark.parametrize("rows", [3, 33])
+def test_residual_and_q_integral_refuse_a_block(w05, rows):
+    """The criticality potential, and so the residual, the Q integral,
+    the report and the classifier, take one graph; a block of graphs is
+    refused by name.  At 3 rows the (B,) areas failed to broadcast
+    against the node arrays; at 33, the azimuth count of the band-16
+    grid, they broadcast along longitude into a wrong Q integral."""
+    from hawkmass import critical_point_classifier, surface_report
+
+    phi = HarmonicField(np.stack([_damped(seed).coeffs
+                                  for seed in range(rows)]))
+    s = build_graph(w05, 0.4, phi, scale=1e-3)
+    assert s.grid.n_lon == 33 and np.shape(s.area) == (rows,)
+    for read in (s.q_integral, s.el_residual_max, lambda: s.el_residual,
+                 lambda: surface_report(s),
+                 lambda: critical_point_classifier(s)):
+        with pytest.raises(ValueError, match=(
+                f"^the Euler-Lagrange potential takes one graph, not a "
+                f"block of {rows}; ")):
+            read()
 
 
 def test_mass_graph_report_makes_one_gram_solve(w05, monkeypatch):

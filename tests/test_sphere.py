@@ -11,14 +11,12 @@ from numpy.testing import assert_allclose
 from hawkmass import (
     HarmonicField,
     SweepConfig,
-    analyze,
     coeff_index,
     get_grid,
     gradient_norm_sq_integral,
     laplacian_unit,
     perturbation_sweep,
     sobolev_norms,
-    synthesize,
 )
 from hawkmass.sphere import MAX_GRID_LMAX, SphereGrid, _Buffers
 
@@ -71,7 +69,7 @@ def test_basis_orthonormality():
 def test_analyze_synthesize_round_trip():
     field = random_field(12, seed=3)
     grid = get_grid(12)
-    back = analyze(grid, synthesize(field, grid))
+    back = HarmonicField(grid.analyze(grid.synthesize(field.coeffs)))
     assert_allclose(back.coeffs, field.coeffs, rtol=0, atol=1e-13)
 
 
@@ -82,7 +80,7 @@ def test_round_trip_degree_one_large_band_limit(lmax):
     degree (leggauss nodes left 3.8e-14 at lmax 40 and 1.9e-14 at 80)."""
     field = HarmonicField.single(1, 0, 1.0)
     grid = get_grid(lmax)
-    back = analyze(grid, synthesize(field, grid))
+    back = HarmonicField(grid.analyze(grid.synthesize(field.coeffs)))
     assert np.max(np.abs(back.coeffs - field.padded(lmax))) <= 5e-15
 
 
@@ -206,16 +204,16 @@ def test_synthesis_rejects_bad_coefficient_shapes():
 
 
 def test_synthesis_rejects_a_band_above_the_grid():
-    """A jet takes any band limit up to the grid's and no higher; the
-    other syntheses take the grid's alone."""
+    """Every synthesis takes any band limit up to the grid's and no
+    higher, for single fields and blocks."""
     grid = get_grid(4)
-    with pytest.raises(ValueError, match="coefficients have shape"):
-        grid.synthesize_jet(np.zeros(36))
-    with pytest.raises(ValueError, match="coefficients have shape"):
-        grid.synthesize_jet(np.zeros((2, 36)))
-    for synth in (grid.synthesize, grid.synthesize_gradient):
-        with pytest.raises(ValueError, match="coefficients have shape"):
-            synth(np.zeros(16))
+    for synth in (grid.synthesize, grid.synthesize_gradient,
+                  grid.synthesize_jet):
+        for shape in ((36,), (2, 36)):
+            with pytest.raises(ValueError, match="coefficients have shape"):
+                synth(np.zeros(shape))
+        for shape in ((1,), (16,), (2, 16), (25,)):
+            synth(np.zeros(shape))
 
 
 @st.composite
@@ -233,18 +231,24 @@ def _band_coeffs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_band_coeffs())
 def test_jet_of_a_lower_band_is_the_padded_jet(case):
-    """A jet of band-L coefficients runs only the orders m <= L, and has
-    the bits of the jet of the same coefficients zero-padded to the grid,
-    for single fields and blocks."""
+    """Each synthesis of band-L coefficients (the jet, the gradient and
+    the values) runs only the orders m <= L, and has the bits of the same
+    synthesis of the coefficients zero-padded to the grid, for single
+    fields and blocks."""
     lmax, coeffs = case
     grid = get_grid(lmax)
     padded = np.zeros(coeffs.shape[:-1] + (grid.n_modes,))
     padded[..., :coeffs.shape[-1]] = coeffs
-    jet = grid.synthesize_jet(coeffs)
-    ref = grid.synthesize_jet(padded)
-    for key, field in ref.items():
-        assert jet[key].shape == field.shape
-        assert jet[key].tobytes() == field.tobytes()
+    for synth in (grid.synthesize_jet, grid.synthesize_gradient,
+                  grid.synthesize):
+        got, ref = synth(coeffs), synth(padded)
+        if isinstance(ref, dict):
+            got, ref = got.values(), ref.values()
+        elif isinstance(ref, np.ndarray):
+            got, ref = [got], [ref]
+        for mine, field in zip(got, ref, strict=True):
+            assert mine.shape == field.shape
+            assert mine.tobytes() == field.tobytes()
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
@@ -287,7 +291,7 @@ def test_synthesis_matches_scipy_harmonics():
     lam = np.ones((grid.n_lat, 1)) * (2.0 * np.pi *
                                       np.arange(grid.n_lon) / grid.n_lon)[None, :]
     for l, m in [(0, 0), (1, 0), (2, 1), (3, -2), (4, 4), (5, -5)]:
-        ours = synthesize(HarmonicField.single(l, m, 1.0), grid)
+        ours = grid.synthesize(HarmonicField.single(l, m, 1.0).coeffs)
         y = sph_harm_y(l, abs(m), theta, lam)
         if m == 0:
             ref = np.real(y)
@@ -301,7 +305,7 @@ def test_synthesis_matches_scipy_harmonics():
 def test_parseval():
     field = random_field(9, seed=11)
     grid = get_grid(9)
-    f = synthesize(field, grid)
+    f = grid.synthesize(field.coeffs)
     quad = float(np.sum(grid.quad_weights * f * f))
     assert_allclose(quad, float(np.sum(field.coeffs ** 2)), rtol=1e-13)
 
@@ -440,8 +444,17 @@ def test_sobolev_norms_slice_scaling():
 
 
 def test_field_requires_full_degree_blocks():
-    with pytest.raises(ValueError):
-        HarmonicField(np.zeros(5))   # not a perfect square
+    """A coefficient vector, or each row of a block, holds the full
+    degree blocks of a band limit L >= 0, the rule ``from_json`` applies:
+    an empty one would give lmax -1, which ``to_json`` would write and
+    ``from_json`` refuse."""
+    not_square = "coefficient length 5 is not a perfect square"
+    empty = "field lmax must be an integer >= 0, got no coefficients"
+    for coeffs, named in ((np.zeros(5), not_square),
+                          (np.zeros((3, 5)), not_square),
+                          (np.zeros(0), empty), (np.zeros((3, 0)), empty)):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            HarmonicField(coeffs)
 
 
 def test_grid_band_limit_guard():
@@ -449,4 +462,4 @@ def test_grid_band_limit_guard():
     its coefficients are all zero."""
     grid = get_grid(4)
     with pytest.raises(ValueError):
-        synthesize(HarmonicField(np.zeros(49)), grid)
+        grid.synthesize(HarmonicField(np.zeros(49)).coeffs)

@@ -59,23 +59,53 @@ def test_config_validation():
 
 @pytest.mark.parametrize("overrides, named", [
     ({"master_seed": -1}, "master_seed must be >= 0"),
-    ({"tolerances": {"ratio_slack": 0.1}}, "tolerances must hold slice_norm"),
-    ({"tolerances": {"slice_norm": 1e-8}}, "tolerances must hold ratio_slack"),
-    ({"tolerances": {"ratio_slack": np.nan, "slice_norm": 1e-8}},
-     "tolerances ratio_slack must be finite and >= 0"),
-    ({"tolerances": {"ratio_slack": -0.1, "slice_norm": 1e-8}},
-     "tolerances ratio_slack must be finite and >= 0"),
-    ({"tolerances": {"ratio_slack": 0.1, "slice_norm": np.inf}},
-     "tolerances slice_norm must be finite and >= 0"),
+    ({"lmax": 16.5}, "lmax must be an integer, got 16.5"),
+    ({"n_samples": 4.5}, "n_samples must be an integer, got 4.5"),
+    ({"master_seed": 7.5}, "master_seed must be an integer, got 7.5"),
+    ({"lmax": True}, "lmax must be an integer, got True"),
+    ({"n_samples": True}, "n_samples must be an integer, got True"),
+    ({"master_seed": True}, "master_seed must be an integer, got True"),
 ])
 def test_config_rejects_bad_seed_or_tolerances(overrides, named, monkeypatch):
-    """A negative seed, a missing tolerance or a non-finite or negative one
-    is rejected by name, before any warp solve."""
+    """A negative seed, or a sample count, seed or band limit that is not
+    an integer, is rejected by name, before any warp solve.  The verdict's
+    tolerances are fixed, not config values; ``from_dict`` refuses stored
+    ones other than them (tested below)."""
     solves = []
     monkeypatch.setattr(sweeps, "solve_for_config", solves.append)
     with pytest.raises(ValueError, match=f"^{named}$"):
         perturbation_sweep(small_config(**overrides))
     assert solves == []
+
+
+def test_config_accepts_numpy_integers():
+    """numpy integers pass validation as the Python ones do."""
+    small_config(n_samples=np.int64(4), master_seed=np.uint64(7),
+                 lmax=np.int32(16)).validate()
+
+
+@pytest.mark.parametrize("tolerances, named", [
+    ({"ratio_slack": 0.2, "slice_norm": 1e-8}, "ratio_slack 0.2"),
+    ({"ratio_slack": 0.1, "slice_norm": 0.0}, "slice_norm 0.0"),
+    ({"ratio_slack": 0.1}, "slice_norm None"),
+    ({"ratio_slack": 0.1, "slice_norm": 1e-8, "other": 1.0}, "other 1.0"),
+])
+def test_config_from_dict_refuses_other_tolerances(tolerances, named):
+    """The verdict's tolerances are fixed: a stored config that names
+    other ones is refused by name, as its records could not replay."""
+    doc = dict(small_config().to_dict(), tolerances=tolerances)
+    with pytest.raises(ValueError, match=f"^stored tolerances {named} is "):
+        SweepConfig.from_dict(doc)
+
+
+def test_config_writes_the_fixed_tolerances():
+    """Every payload's config records the fixed tolerances, as configs
+    did when they were fields, and reads back with or without them."""
+    doc = small_config().to_dict()
+    assert doc["tolerances"] == {"ratio_slack": 0.1, "slice_norm": 1e-8}
+    assert SweepConfig.from_dict(doc) == small_config()
+    del doc["tolerances"]
+    assert SweepConfig.from_dict(doc) == small_config()
 
 
 @pytest.mark.parametrize("epsilon", [1e-9, 1e-8])

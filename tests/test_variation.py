@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 from hawkmass import (
     HarmonicField,
     area_bound_check,
+    build_graph,
+    coeff_index,
     fd_second_variation,
     jacobi_spectrum,
     mean_deviation_coercivity,
@@ -419,3 +421,62 @@ def test_minimal_slice_rigidity_over_the_family(a):
     assert rep.gauss_curvature == pytest.approx(4.0 * np.pi / rep.area,
                                                 rel=4e-15, abs=0.0)
     assert abs(rep.ricci_normal + lam) <= 4e-15 / (a * a)
+
+
+@st.composite
+def degree_and_order(draw):
+    """A degree l in 1..8 and an order m in -l..l."""
+    l = draw(st.integers(1, 8))
+    return l, draw(st.integers(-l, l))
+
+
+def el_linearization(w, r, l, m):
+    """mu_l, the linearized Euler-Lagrange operator on Y_lm over the slice
+    at r: the Y_lm coefficient of ``el_residual`` of the graphs +-h Y_lm,
+    over h, averaged over the two signs, with h = 1e-5 u on the band-32
+    geometry grid; and u."""
+    u = w.evaluate(r)[0]
+    h = 1.0e-5 * u
+    phi = HarmonicField.single(l, m)
+    mu = 0.0
+    for step in (h, -h):
+        surface = build_graph(w, r, phi, scale=step, grid_lmax=32)
+        residual = surface.grid.analyze(surface.el_residual)
+        mu += residual[coeff_index(l, m)] / (2.0 * step)
+    return mu, u
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(A_MIN, A_MAX),
+       fraction=st.floats(0.0, 1.0, exclude_max=True),
+       mode=degree_and_order())
+@example(a=A_MIN, fraction=0.0, mode=(8, 0))
+@example(a=A_MIN, fraction=0.125, mode=(1, 1))
+@example(a=A_MAX, fraction=0.0, mode=(1, 0))
+def test_el_residual_linearizes_to_the_second_variation(a, fraction, mode):
+    """The residual of ``graph.py`` (induced Laplacian, Gauss equation,
+    criticality potential) linearizes on a slice to the closed form of
+    ``variation.py``: mu_l = -(16 pi / u) q_l, and mu_0 = 0, the linear
+    form of "a critical graph over a slice is a slice" (q_l < 0 for
+    l >= 1).
+
+    The error is measured against ((l(l + 1) + 2) / u^2)^2, the size of
+    the operator's terms, not against mu_l: at small a, mu_1 (and mu_0's
+    scale, |mu_1|) is 12 m / u^5 to leading order, a cancellation of terms
+    about 1 / a times larger, so relative to mu_l roundoff read 4e-7 at
+    a = 1.2e-3 against 3e-11 at a = 0.5.  Measured on 124 values of a at
+    12 radii each and all degrees 0..8: at most 2.7e-9 (l = 8 at r = 0,
+    the O(h^2) truncation), 1.2e-10 for l = 0.  The bound is about 10x
+    that; a 1e-6 relative change to one term of the potential or of
+    Ric(nu, nu) moves the error by about 1e-6 / (l(l + 1) + 2), 3e-7 at
+    l = 1."""
+    w = solve_warp_factor(a, 13.0)
+    assert w.period < 13.0
+    r = w.period * fraction
+    l, m = mode
+    q = second_variation_by_degree(w, r, l)
+    for degree, order in ((l, m), (0, 0)):
+        mu, u = el_linearization(w, r, degree, order)
+        k = degree * (degree + 1.0)
+        ref = -(16.0 * np.pi / u) * q[degree]
+        assert abs(mu - ref) <= 3e-8 * ((k + 2.0) / (u * u)) ** 2
